@@ -17,7 +17,7 @@ import subprocess
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-WORKLOADS = ["fleet-warm", "signoff-cold", "tcp-open-mixed"]
+WORKLOADS = ["signoff-cold", "tcp-open-mixed"]
 RUN_TIMEOUT_S = 170
 
 

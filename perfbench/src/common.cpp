@@ -36,16 +36,15 @@ std::vector<double> Pass::sliceRps() const {
 }
 
 double Pass::throughputRps() const {
-  // An open loop's completions follow its schedule, so slices would
-  // only measure the arrival process; the whole window is the figure.
-  if (openLoop && !doneAtS.empty())
-    return static_cast<double>(doneAtS.size()) /
-           *std::max_element(doneAtS.begin(), doneAtS.end());
-  return median(sliceRps());
+  return wallS > 0 ? static_cast<double>(doneAtS.size()) / wallS : 0;
+}
+
+double Pass::tailLatencyMs() const {
+  return percentile(latencyMs, tailPercentile(latencyMs.size()));
 }
 
 std::vector<double> Pass::sliceTailMs() const {
-  const std::size_t per = sliceSamples();
+  const std::size_t per = latencyMs.size() / slices();
   if (per == 0) return {0};
   std::vector<double> tails;
   for (std::size_t k = 0; k < slices(); ++k) {
@@ -55,8 +54,6 @@ std::vector<double> Pass::sliceTailMs() const {
   }
   return tails;
 }
-
-double Pass::tailLatencyMs() const { return median(sliceTailMs()); }
 
 void beginTracing(std::size_t requests) {
   dic::obs::Tracer& t = dic::obs::Tracer::instance();

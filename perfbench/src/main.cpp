@@ -1,6 +1,6 @@
 // perfbench: the DIC serving stack's end-to-end benchmark.
 //
-//   perfbench --workload <fleet-warm|signoff-cold|tcp-open-mixed>
+//   perfbench --workload <signoff-cold|tcp-open-mixed>
 //             --seed <n> --seconds <s> --trace <0|1> [--record <path>]
 //
 // --trace 0 prints the end-to-end metrics of one untraced window.
@@ -79,7 +79,7 @@ std::vector<Metric> perLayer(const Outcome& o) {
     if (isStage(name)) stageMs += ms;
   const double busy = t.wallS > 0 ? stageMs / (t.wallS * 1e3 * t.poolThreads) : 0;
 
-  // Tracing overhead: closed loops compare throughput; the open loop's
+  // Tracing overhead: the closed loop compares throughput; the open loop's
   // throughput is pinned to its schedule, so it compares CPU per request.
   double overhead = 0;
   if (p.openLoop) {
@@ -140,19 +140,23 @@ std::string list(const std::vector<double>& v) {
 }
 
 std::string passDiagnostics(const Pass& p) {
-  const std::size_t per = p.sliceSamples();
-  const double tailP = tailPercentile(per);
+  const std::size_t samples = p.latencyMs.size();
+  const double tailP = tailPercentile(samples);
   const std::size_t beyond =
-      per - static_cast<std::size_t>(
-                std::ceil(tailP / 100.0 * static_cast<double>(per)));
+      samples - static_cast<std::size_t>(
+                    std::ceil(tailP / 100.0 * static_cast<double>(samples)));
   std::ostringstream o;
   o << "{\"requests\": " << p.attempted << ", \"failed\": " << p.failed
     << ", \"wall_s\": " << num(p.wallS)
-    << ", \"slice_samples\": " << per
+    << ", \"tail_samples\": " << samples
     << ", \"tail_percentile\": " << num(tailP)
     << ", \"tail_samples_beyond\": " << beyond
+    << ", \"latency_ms_at_p90_p99_p99.9\": "
+    << list({percentile(p.latencyMs, 90), percentile(p.latencyMs, 99),
+             percentile(p.latencyMs, 99.9)})
     << ", \"slice_tail_ms\": " << list(p.sliceTailMs())
     << ", \"slice_rps\": " << list(p.sliceRps())
+    << ", \"rss_peak_reset\": " << (p.rssPeakReset ? "true" : "false")
     << ", \"host_steal_pct\": " << num(p.stealPct)
     << ", \"host_steal_cpu_s\": " << num(p.stealCpuS)
     << ", \"process_cpu_ms_per_req\": "
@@ -180,9 +184,8 @@ std::string metricsJson(const std::vector<Metric>& ms) {
 
 int usage() {
   std::fprintf(stderr,
-               "usage: perfbench --workload <fleet-warm|signoff-cold|"
-               "tcp-open-mixed> --seed <n> --seconds <s> "
-               "--trace <0|1> [--record <path>]\n");
+               "usage: perfbench --workload <signoff-cold|tcp-open-mixed> "
+               "--seed <n> --seconds <s> --trace <0|1> [--record <path>]\n");
   return 2;
 }
 
@@ -204,8 +207,7 @@ int main(int argc, char** argv) {
 
   Outcome o;
   try {
-    if (cfg.workload == "fleet-warm") o = runFleetWarm(cfg);
-    else if (cfg.workload == "signoff-cold") o = runSignoffCold(cfg);
+    if (cfg.workload == "signoff-cold") o = runSignoffCold(cfg);
     else if (cfg.workload == "tcp-open-mixed") o = runTcpOpenMixed(cfg);
     else return usage();
   } catch (const std::exception& ex) {

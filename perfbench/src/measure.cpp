@@ -8,6 +8,7 @@
 #include <sstream>
 #include <unordered_map>
 
+#include <malloc.h>
 #include <unistd.h>
 
 namespace perfbench {
@@ -31,7 +32,7 @@ double mean(const std::vector<double>& v) {
 }
 
 double tailPercentile(std::size_t n) {
-  for (double p : {99.9, 99.5, 99.0, 98.0, 95.0, 90.0, 75.0}) {
+  for (double p : {99.0, 98.0, 95.0, 90.0, 75.0}) {
     const auto rank = static_cast<std::size_t>(
         std::ceil(p / 100.0 * static_cast<double>(n)));
     if (n >= rank + 10) return p;
@@ -76,7 +77,16 @@ double peakRssMb() {
   return 0;
 }
 
+bool resetPeakRss() {
+  malloc_trim(0);
+  std::ofstream out("/proc/self/clear_refs");
+  out << "5";
+  out.flush();
+  return static_cast<bool>(out);
+}
+
 void Window::start() {
+  rssReset = resetPeakRss();
   host0 = readHostCpu();
   cpu0 = processCpuSeconds();
   t0 = Clock::now();

@@ -25,8 +25,11 @@ double percentile(std::vector<double> v, double p);
 double median(std::vector<double> v);
 double mean(const std::vector<double>& v);
 
-/// The highest percentile of a fixed ladder that still leaves at least
-/// ten samples beyond it for `n` samples (50 when none does).
+/// The highest percentile of the ladder p99, p98, p95, p90, p75 that
+/// still leaves at least ten samples beyond it for `n` samples (50 when
+/// none does). The ladder stops at p99: above it, a run's figure is set
+/// by a handful of hypervisor stalls, and p99.9 spread 42-62% across
+/// seeds on a shared 4-vCPU VM.
 double tailPercentile(std::size_t n);
 
 /// Host CPU counters from /proc/stat (all CPUs, clock ticks).
@@ -37,14 +40,21 @@ struct HostCpu {
 HostCpu readHostCpu();
 /// CPU time this process has used, seconds.
 double processCpuSeconds();
-/// Peak resident set size of this process so far, MiB (VmHWM).
+/// Peak resident set size of this process since the last
+/// resetPeakRss() (or since it started), MiB (VmHWM).
 double peakRssMb();
+/// Return freed heap to the kernel and reset VmHWM to the current
+/// resident size (writes "5" to /proc/self/clear_refs). False when the
+/// kernel refuses, in which case VmHWM still covers the whole process.
+bool resetPeakRss();
 
 /// The host and process counters around one measured window.
 struct Window {
   Clock::time_point t0;
   HostCpu host0;
   double cpu0{0};
+  bool rssReset{false};  ///< resetPeakRss() succeeded at start()
+  /// Resets the RSS high-water mark, then reads the counters.
   void start();
   /// Fills wall/cpu/steal of the window that started at start().
   void stop(double& wallS, double& cpuS, double& stealPct,

@@ -1,13 +1,9 @@
-// The two serving-tier workloads over a fleet of eight
-// workload::fleetChip libraries: fleet-warm (an in-process
-// server::Server under a closed loop of warm read-only checks) and
-// tcp-open-mixed (the same server behind a net::Listener, driven over
-// one TCP connection by an open-loop Poisson schedule with
-// edit-then-check requests mixed in).
+// tcp-open-mixed: the serving tier over a fleet of eight
+// workload::fleetChip libraries. A server::Server behind a
+// net::Listener is driven over one TCP connection by an open-loop
+// Poisson schedule of warm reads with edit-then-check requests mixed in.
 #include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <thread>
 
 #include "engine/arena.hpp"
@@ -29,26 +25,25 @@ namespace server = dic::server;
 namespace net = dic::net;
 
 constexpr std::size_t kFleet = 8;
-/// Explicit sizing (not host-dependent defaults): 2 serial shards, so
-/// the server never needs more vCPUs than a small host has free.
-constexpr int kShards = 2;
+/// Explicit sizing (not host-dependent defaults): one serial shard per
+/// vCPU of a 4-vCPU host. A burst then spreads over four queues; with
+/// two, queueing behind the burst doubled p50 and moved it with every
+/// change in host CPU speed.
+constexpr int kShards = 4;
 constexpr int kThreadsPerShard = 1;
-/// fleet-warm: requests the generator keeps outstanding.
-constexpr std::size_t kWindow = 8;
-/// fleet-warm: requests per run second (fixed-count, not timed).
-constexpr double kFleetRequestsPerSecond = 2600;
-/// tcp-open-mixed: the offered rate, about a quarter of fleet-warm's
-/// closed-loop throughput on a 4-vCPU host. At half of it (1450/s) the
-/// hot shard ran near saturation, and host CPU steal bursts pushed the
-/// schedule past the knee: a backlog grew and p50 rose ~8x.
+/// The offered rate, a seventh to a quarter of the closed-loop
+/// throughput of warm reads the same fleet reached on 2 shards
+/// (2600-5000/s) on a 4-vCPU host. At 1450/s on 2 shards the hot shard
+/// ran near saturation, and host CPU steal bursts pushed the schedule
+/// past the knee: a backlog grew and p50 rose ~8x.
 constexpr double kTcpRate = 700;
-/// tcp-open-mixed: requests arrive in Poisson-timed bursts of this many
-/// (a client submitting several checks at once). One request at a time
-/// leaves every thread asleep between requests, and the latency is then
-/// mostly the host's thread wake-up time, which doubles under CPU steal.
+/// Requests arrive in Poisson-timed bursts of this many (a client
+/// submitting several checks at once). One request at a time leaves
+/// every thread asleep between requests, and the latency is then mostly
+/// the host's thread wake-up time, which doubles under CPU steal.
 constexpr std::size_t kTcpBurst = 8;
-/// tcp-open-mixed: edit-then-check weight against the 4/2/3/1 read mix
-/// (1.1 / 11.1 = ~10% of requests).
+/// Edit-then-check weight against the 4/2/3/1 read mix (1.1 / 11.1 =
+/// ~10% of requests).
 constexpr double kTcpEditWeight = 1.1;
 constexpr CheckKind kKinds[] = {CheckKind::kHierarchicalDrc,
                                 CheckKind::kFlatBaselineDrc, CheckKind::kErc,
@@ -102,9 +97,9 @@ class WireConnection {
 
 struct Fleet {
   std::unique_ptr<server::Server> srv;
-  std::unique_ptr<net::Listener> listener;  // tcp-open-mixed only
-  std::unique_ptr<WireConnection> conn;     // tcp-open-mixed only
-  std::uint64_t nextId{1};                  // next wire request id
+  std::unique_ptr<net::Listener> listener;
+  std::unique_ptr<WireConnection> conn;
+  std::uint64_t nextId{1};  // next wire request id
 };
 
 CheckResult roundTrip(Fleet& f, const std::string& lib, const CheckRequest& req) {
@@ -121,7 +116,7 @@ dic::layout::CellId fleetRoot(const dic::tech::Technology& tech) {
 }
 
 std::unique_ptr<Fleet> makeFleet(const dic::tech::Technology& tech,
-                                 dic::layout::CellId root, bool tcp) {
+                                 dic::layout::CellId root) {
   auto f = std::make_unique<Fleet>();
   server::ServerOptions o;
   o.shards = kShards;
@@ -130,18 +125,14 @@ std::unique_ptr<Fleet> makeFleet(const dic::tech::Technology& tech,
   for (std::size_t l = 0; l < kFleet; ++l)
     f->srv->addLibrary(workload::libraryName(l),
                        workload::fleetChip(tech).lib, tech);
-  if (tcp) {
-    f->listener = std::make_unique<net::Listener>(*f->srv);
-    f->conn = std::make_unique<WireConnection>(f->listener->port());
-  }
+  f->listener = std::make_unique<net::Listener>(*f->srv);
+  f->conn = std::make_unique<WireConnection>(f->listener->port());
   // Warm-up: one request of every kind on every library builds the
   // views, netlists and incremental caches the measured window reuses.
   for (std::size_t l = 0; l < kFleet; ++l)
     for (CheckKind k : kKinds) {
       const CheckRequest req = workload::materialize({l, k, 0, false, 0}, root);
-      const CheckResult r =
-          tcp ? roundTrip(*f, workload::libraryName(l), req)
-              : f->srv->submit(workload::libraryName(l), req).get();
+      const CheckResult r = roundTrip(*f, workload::libraryName(l), req);
       if (!r.ok()) throw std::runtime_error("perfbench: warm-up failed: " + r.error);
     }
   return f;
@@ -170,12 +161,12 @@ void finishServerPass(Pass& p, const server::Server& srv,
 }
 
 /// Record one completed response: latency, check against the expected
-/// fingerprint, layer counters.
+/// fingerprint (a wire reply carries no netlist), layer counters.
 void record(Pass& p, const CheckResult& r, double latencyMs, double sentMs,
-            std::uint64_t expected, bool withNetlist) {
+            std::uint64_t expected) {
   ++p.attempted;
   p.latencyMs.push_back(latencyMs);
-  if (!r.ok() || fingerprint(r, withNetlist) != expected) {
+  if (!r.ok() || fingerprint(r, false) != expected) {
     ++p.failed;
     return;
   }
@@ -183,122 +174,6 @@ void record(Pass& p, const CheckResult& r, double latencyMs, double sentMs,
   p.queueWaitMs.push_back(std::max(0.0, sentMs - r.seconds * 1e3));
   countResult(p, r);
 }
-
-// ---- fleet-warm -----------------------------------------------------------
-
-Pass fleetPass(Fleet& f, const std::vector<workload::TrafficEvent>& trace,
-               const std::vector<CheckRequest>& reqs,
-               const std::map<CheckKind, std::uint64_t>& expect, bool traced) {
-  Pass p;
-  const std::size_t n = reqs.size();
-  p.latencyMs.reserve(n);
-  struct Slot {
-    std::size_t req{0};
-    Clock::time_point sent, done;
-    CheckResult result;
-  };
-  std::vector<Slot> slots(kWindow);
-  std::vector<std::size_t> freeSlots;
-  for (std::size_t s = 0; s < kWindow; ++s) freeSlots.push_back(s);
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<std::size_t> completed;  // slot ids, guarded by mu
-
-  const std::vector<std::size_t> served0 = servedPerShard(*f.srv);
-  if (traced) beginTracing(n);
-  Window w;
-  w.start();
-  std::size_t next = 0, finished = 0;
-  std::vector<std::size_t> ready;
-  while (finished < n) {
-    while (!freeSlots.empty() && next < n) {
-      const std::size_t s = freeSlots.back();
-      freeSlots.pop_back();
-      slots[s].req = next;
-      CheckRequest req = reqs[next];
-      if (traced) req.traceId = dic::obs::newTraceId();
-      slots[s].sent = Clock::now();
-      f.srv->submitAsync(workload::libraryName(trace[next].library),
-                         std::move(req), [&, s](CheckResult r) {
-                           slots[s].done = Clock::now();
-                           slots[s].result = std::move(r);
-                           std::lock_guard<std::mutex> lock(mu);
-                           completed.push_back(s);
-                           cv.notify_one();
-                         });
-      ++next;
-    }
-    {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !completed.empty(); });
-      ready.swap(completed);
-    }
-    for (const std::size_t s : ready) {
-      Slot& sl = slots[s];
-      const double ms = secondsBetween(sl.sent, sl.done) * 1e3;
-      p.doneAtS.push_back(secondsBetween(w.t0, sl.done));
-      record(p, sl.result, ms, ms, expect.at(trace[sl.req].kind), true);
-      sl.result = CheckResult{};
-      freeSlots.push_back(s);
-      ++finished;
-    }
-    ready.clear();
-  }
-  w.stop(p.wallS, p.cpuS, p.stealPct, p.stealCpuS);
-  p.peakRssMb = peakRssMb();
-  if (traced) endTracing(p);
-  finishServerPass(p, *f.srv, served0);
-  return p;
-}
-
-}  // namespace
-
-Outcome runFleetWarm(const Config& cfg) {
-  Outcome out;
-  const dic::tech::Technology tech = dic::tech::nmos();
-  const dic::layout::CellId root = fleetRoot(tech);
-
-  workload::TrafficOptions to;
-  to.libraries = kFleet;
-  to.requests = static_cast<std::size_t>(kFleetRequestsPerSecond * cfg.seconds);
-  to.seed = cfg.seed;
-  const std::vector<workload::TrafficEvent> trace = workload::generateTrace(to);
-  std::vector<CheckRequest> reqs;
-  for (const workload::TrafficEvent& ev : trace)
-    reqs.push_back(workload::materialize(ev, root));
-
-  std::unique_ptr<Fleet> f =
-      timedSetups(out, [&] { return makeFleet(tech, root, false); });
-
-  // Oracle: every fleet library is the same chip and the traffic is
-  // read-only, so one single-threaded Workspace answer per kind is the
-  // expected response of every request of that kind.
-  const auto o0 = Clock::now();
-  std::map<CheckKind, std::uint64_t> expect;
-  {
-    dic::Workspace oracle(workload::fleetChip(tech).lib, tech,
-                          dic::WorkspaceOptions{1});
-    for (CheckKind k : kKinds)
-      expect[k] = fingerprint(
-          oracle.run(workload::materialize({0, k, 0, false, 0}, root)), true);
-  }
-  out.oracleS = secondsBetween(o0, Clock::now());
-
-  out.plain = fleetPass(*f, trace, reqs, expect, false);
-  out.oracleChecked += out.plain.attempted;
-  if (cfg.trace) {
-    out.traced = fleetPass(*f, trace, reqs, expect, true);
-    out.hasTraced = true;
-    out.oracleChecked += out.traced.attempted;
-    out.outside["engine.view_build_ms"] =
-        viewBuildMs(workload::fleetChip(tech).lib, root, 5);
-  }
-  return out;
-}
-
-// ---- tcp-open-mixed -------------------------------------------------------
-
-namespace {
 
 Pass tcpPass(Fleet& f, const std::vector<workload::TrafficEvent>& trace,
              const std::vector<CheckRequest>& reqs,
@@ -338,7 +213,7 @@ Pass tcpPass(Fleet& f, const std::vector<workload::TrafficEvent>& trace,
           Clock::duration(sentAt[i].load(std::memory_order_acquire)));
       p.doneAtS.push_back(secondsBetween(start, done));
       record(p, r, secondsBetween(due[i], done) * 1e3,
-             secondsBetween(sent, done) * 1e3, expect[i], false);
+             secondsBetween(sent, done) * 1e3, expect[i]);
     }
   });
 
@@ -359,6 +234,7 @@ Pass tcpPass(Fleet& f, const std::vector<workload::TrafficEvent>& trace,
   p.failed += n - p.attempted;
   p.attempted = n;
   p.peakRssMb = peakRssMb();
+  p.rssPeakReset = w.rssReset;
   if (traced) endTracing(p);
   p.lateMeanMs = mean(lateMs);
   p.lateMaxMs = lateMs.empty() ? 0 : *std::max_element(lateMs.begin(), lateMs.end());
@@ -492,12 +368,12 @@ Outcome runTcpOpenMixed(const Config& cfg) {
   out.oracleS = secondsBetween(o0, Clock::now());
 
   std::unique_ptr<Fleet> f =
-      timedSetups(out, [&] { return makeFleet(tech, root, true); });
+      timedSetups(out, [&] { return makeFleet(tech, root); });
   out.plain = tcpPass(*f, trace, reqs, expect, false);
   out.oracleChecked += out.plain.attempted;
   if (cfg.trace) {
     f.reset();
-    f = makeFleet(tech, root, true);  // edits above changed the fleet
+    f = makeFleet(tech, root);  // edits above changed the fleet
     out.traced = tcpPass(*f, trace, reqs, expect, true);
     out.hasTraced = true;
     out.oracleChecked += out.traced.attempted;

@@ -1,5 +1,5 @@
 #pragma once
-// The three perfbench workloads. Each one builds its inputs from the
+// The two perfbench workloads. Each one builds its inputs from the
 // seed, times set-up apart from the measured window, serves a fixed,
 // seeded request sequence from this one process, and checks every
 // response against a single-threaded dic::Workspace oracle.
@@ -34,7 +34,8 @@ struct Pass {
   double cpuS{0};
   double stealPct{0};
   double stealCpuS{0};
-  double peakRssMb{0};
+  double peakRssMb{0};  ///< VmHWM over the window only
+  bool rssPeakReset{false};  ///< the high-water mark was reset at start
   bool openLoop{false};
   double lateMeanMs{0};  ///< open loop: send time minus scheduled time
   double lateMaxMs{0};
@@ -57,26 +58,20 @@ struct Pass {
   std::vector<dic::obs::SpanRecord> spans;  ///< traced passes only
   std::size_t spansDropped{0};
 
-  // The window is cut into slices() consecutive, equal-count slices of
-  // its completions (at least kSliceMin each, at most kMaxSlices), so a
-  // burst of host CPU steal moves one slice's figure, not the run's.
+  /// Completions / wall-clock seconds of the measured window.
+  double throughputRps() const;
+  /// The tailPercentile(n) latency over all n requests of the window.
+  double tailLatencyMs() const;
+
+  // Diagnostics only: the window cut into slices() consecutive,
+  // equal-count slices of its completions (at least kSliceMin each, at
+  // most kMaxSlices), to show where in a run a disturbance fell.
   static constexpr std::size_t kSliceMin = 100;
   static constexpr std::size_t kMaxSlices = 10;
   std::size_t slices() const {
     return std::clamp<std::size_t>(latencyMs.size() / kSliceMin, 1, kMaxSlices);
   }
-  /// Samples in one slice (the count each slice's percentile is over).
-  std::size_t sliceSamples() const { return latencyMs.size() / slices(); }
-  /// Completions per second. Closed loops: the median over the slices of
-  /// completions / slice wall time. Open loop: completions / time of the
-  /// last completion (its slices would only sample the arrival process).
-  double throughputRps() const;
-  /// The per-slice rates throughputRps() takes the median of.
   std::vector<double> sliceRps() const;
-  /// Tail latency: the median over the slices of each slice's
-  /// tailPercentile(sliceSamples()) latency.
-  double tailLatencyMs() const;
-  /// The per-slice tails tailLatencyMs() takes the median of.
   std::vector<double> sliceTailMs() const;
 };
 
@@ -110,7 +105,6 @@ auto timedSetups(Outcome& out, Fn setup) {
   return s;
 }
 
-Outcome runFleetWarm(const Config& cfg);
 Outcome runTcpOpenMixed(const Config& cfg);
 Outcome runSignoffCold(const Config& cfg);
 
