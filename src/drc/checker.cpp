@@ -118,7 +118,7 @@ std::vector<engine::Stage> Checker::stages(
                  [this](engine::Executor& e) {
                    nl_ = supplier_ ? supplier_(e)
                                    : std::make_shared<const netlist::Netlist>(
-                                         netlist::extract(*view_, tech_, e,
+                                         netlist::extract(*view_, tech_,
                                                           opt_.extract));
                    return report::Report{};
                  },
@@ -245,8 +245,7 @@ report::Report Checker::checkConnectionsImpl(engine::Executor& exec) {
 }
 
 netlist::Netlist Checker::generateNetlist() {
-  engine::Executor exec(opt_.threads);
-  return netlist::extract(*view_, tech_, exec, opt_.extract);
+  return netlist::extract(*view_, tech_, opt_.extract);
 }
 
 report::Report Checker::checkInteractions(const netlist::Netlist& nl) {

@@ -435,20 +435,32 @@ void HierarchyView::ensurePorts() const {
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (portsReady_.load(std::memory_order_relaxed)) return;
   const Flat& f = ensureFlat(false);
-  std::vector<Rect> rects;
   for (std::size_t d = 0; d < f.devices.size(); ++d)
-    for (std::size_t p = 0; p < f.devices[d].ports.size(); ++p) {
+    for (std::size_t p = 0; p < f.devices[d].ports.size(); ++p)
       ports_.push_back({d, p});
-      rects.push_back(f.devices[d].ports[p].at);
-    }
+  accountedBytes_.fetch_add(ports_.capacity() * sizeof(PortRef),
+                            std::memory_order_release);
+  portsReady_.store(true, std::memory_order_release);
+}
+
+const geom::GridIndex& HierarchyView::ensurePortIndex() const {
+  if (portIndexReady_.load(std::memory_order_acquire)) return *portIndex_;
+  std::lock_guard<std::recursive_mutex> lock(mu_);
+  if (portIndexReady_.load(std::memory_order_relaxed)) return *portIndex_;
+  ensurePorts();
+  const Flat& f = ensureFlat(false);
+  std::vector<Rect> rects;
+  rects.reserve(ports_.size());
+  for (const PortRef& pr : ports_)
+    rects.push_back(f.devices[pr.device].ports[pr.port].at);
   portIndex_ = std::make_unique<geom::GridIndex>(autoGridCell(rects));
   for (std::size_t pn = 0; pn < rects.size(); ++pn)
     portIndex_->insert(pn, rects[pn]);
-  accountedBytes_.fetch_add(ports_.capacity() * sizeof(PortRef) +
-                                sizeof(geom::GridIndex) +
-                                portIndex_->memoryBytes(),
-                            std::memory_order_release);
-  portsReady_.store(true, std::memory_order_release);
+  accountedBytes_.fetch_add(
+      sizeof(geom::GridIndex) + portIndex_->memoryBytes(),
+      std::memory_order_release);
+  portIndexReady_.store(true, std::memory_order_release);
+  return *portIndex_;
 }
 
 const std::vector<HierarchyView::PortRef>& HierarchyView::ports() const {
@@ -458,8 +470,7 @@ const std::vector<HierarchyView::PortRef>& HierarchyView::ports() const {
 
 std::vector<std::size_t> HierarchyView::portCandidates(const Rect& query,
                                                        Coord inflate) const {
-  ensurePorts();
-  return portIndex_->query(inflate ? query.inflated(inflate) : query);
+  return ensurePortIndex().query(inflate ? query.inflated(inflate) : query);
 }
 
 void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,

@@ -166,7 +166,8 @@ class HierarchyView {
   /// All flattened device ports in (device, port) order.
   const std::vector<PortRef>& ports() const;
 
-  /// Candidate port indices (into ports()) near `query`.
+  /// Candidate port indices (into ports()) near `query`. The port grid
+  /// builds on first call, separately from ports().
   std::vector<std::size_t> portCandidates(const geom::Rect& query,
                                           geom::Coord inflate = 0) const;
 
@@ -217,6 +218,7 @@ class HierarchyView {
   const LayerIndexes& ensureIndexes(bool includeDeviceGeometry) const;
   void ensurePlacements() const;
   void ensurePorts() const;
+  const geom::GridIndex& ensurePortIndex() const;
 
   const layout::Library& lib_;
   layout::CellId root_;
@@ -239,6 +241,7 @@ class HierarchyView {
   mutable std::atomic<bool> indexesReady_[2]{};
   mutable std::atomic<bool> portsReady_{false};
   mutable std::vector<PortRef> ports_;
+  mutable std::atomic<bool> portIndexReady_{false};
   mutable std::unique_ptr<geom::GridIndex> portIndex_;
   /// Bytes of built lazy state; each ensureX adds its contribution once,
   /// right before publishing its ready flag.

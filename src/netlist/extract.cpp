@@ -1,7 +1,8 @@
 #include <algorithm>
 #include <map>
+#include <tuple>
+#include <utility>
 
-#include "engine/executor.hpp"
 #include "engine/hierarchy_view.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist/unionfind.hpp"
@@ -19,7 +20,51 @@ bool elementTouchesPort(const layout::Element& e, const geom::Rect& port) {
   return false;
 }
 
+/// One flat element or device port in the candidate sweep.
+struct SweepItem {
+  geom::Rect box;
+  int layer{0};
+  std::size_t node{0};
+};
+
 }  // namespace
+
+std::vector<std::pair<std::size_t, std::size_t>> candidatePairs(
+    engine::HierarchyView& view) {
+  const engine::HierarchyView::Flat& flat = view.flat(false);
+  const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
+  const std::size_t ne = flat.elements.size();
+  std::vector<SweepItem> items;
+  items.reserve(ne + portNodes.size());
+  for (std::size_t i = 0; i < ne; ++i)
+    items.push_back({flat.bboxes[i], flat.elements[i].element.layer, i});
+  for (std::size_t pn = 0; pn < portNodes.size(); ++pn) {
+    const layout::Port& port =
+        flat.devices[portNodes[pn].device].ports[portNodes[pn].port];
+    items.push_back({port.at, port.layer, ne + pn});
+  }
+  std::erase_if(items,
+                [](const SweepItem& it) { return !it.box.closedValid(); });
+  std::sort(items.begin(), items.end(),
+            [](const SweepItem& a, const SweepItem& b) {
+              return std::tie(a.layer, a.box.lo.x, a.node) <
+                     std::tie(b.layer, b.box.lo.x, b.node);
+            });
+  // Sorted by lo.x within a layer, so every later item whose lo.x is
+  // within this item's hi.x overlaps it in x; only y remains to test.
+  std::vector<std::pair<std::size_t, std::size_t>> pairs;
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const SweepItem& a = items[i];
+    for (std::size_t j = i + 1; j < items.size() &&
+                                items[j].layer == a.layer &&
+                                items[j].box.lo.x <= a.box.hi.x;
+         ++j)
+      if (geom::closedTouch(a.box, items[j].box))
+        pairs.emplace_back(std::min(a.node, items[j].node),
+                           std::max(a.node, items[j].node));
+  }
+  return pairs;
+}
 
 Netlist extract(const layout::Library& lib, layout::CellId root,
                 const tech::Technology& tech, const ExtractOptions& opts) {
@@ -29,18 +74,8 @@ Netlist extract(const layout::Library& lib, layout::CellId root,
 
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 const ExtractOptions& opts) {
-  engine::Executor serial(1);
-  return extract(view, tech, serial, opts);
-}
-
-Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
-                engine::Executor& exec, const ExtractOptions& opts) {
   Netlist out;
 
-  // Build the flat view, spatial indexes, and port index up front on the
-  // calling thread, so the fan-outs below start against read-only caches
-  // instead of queueing every worker on the first lazy build.
-  view.prepare(false);
   const engine::HierarchyView::Flat& flat = view.flat(false);
   const std::vector<layout::FlatElement>& elements = flat.elements;
   const std::vector<layout::FlatDevice>& devices = flat.devices;
@@ -51,6 +86,9 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   const std::size_t ne = elements.size();
   const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
   const std::size_t np = portNodes.size();
+  const auto portAt = [&](std::size_t pn) -> const layout::Port& {
+    return devices[portNodes[pn].device].ports[portNodes[pn].port];
+  };
   std::map<std::string, std::size_t> labelNode;
   if (opts.mergeByLabel) {
     for (const auto& fe : elements)
@@ -60,77 +98,30 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   }
   UnionFind uf(ne + np + labelNode.size());
 
-  // The connectivity probes below are the netlist stage's critical path
-  // (skeleton construction, grid queries, region/port touch tests). Each
-  // fan-out writes only its own index's slot; the union-find itself is
-  // not thread-safe, so the collected edges replay serially afterwards in
-  // index order. Net numbering depends only on the final partition (ids
-  // are assigned in first-encounter node order when nets are built), so
-  // the result is byte-identical to serial for any pool size.
-
-  // Precompute skeletons (bboxes come cached from the view).
+  // Exact tests on the swept candidates only. Net numbering depends only
+  // on the final partition (ids are assigned in first-encounter node
+  // order when nets are built), not on the order of the unions.
   std::vector<geom::Skeleton> skels(ne);
-  exec.parallelFor(ne, [&](std::size_t i) {
+  for (std::size_t i = 0; i < ne; ++i) {
     const layout::Element& e = elements[i].element;
     skels[i] = e.skeleton(tech.layer(e.layer).minWidth);
-  });
+  }
+  for (const auto& [a, b] : candidatePairs(view)) {
+    const bool connected =
+        b < ne   ? geom::skeletonsConnected(skels[a], skels[b])  // Fig. 11
+        : a < ne ? elementTouchesPort(elements[a].element, portAt(b - ne).at)
+                 : true;  // abutting ports short directly
+    if (connected) uf.unite(a, b);
+  }
 
-  // Element-element connections via the engine's per-layer indexes. The
-  // layer equality re-check guards against negative layer ids, which the
-  // view's candidate API treats as the all-layers sentinel.
-  std::vector<std::vector<std::size_t>> elemEdges(ne);
-  exec.parallelFor(ne, [&](std::size_t i) {
-    static thread_local std::vector<std::size_t> cand;
-    view.flatCandidatesInto(false, elements[i].element.layer, bboxes[i], 0,
-                            cand);
-    for (std::size_t j : cand) {
-      if (j <= i) continue;
-      if (elements[j].element.layer != elements[i].element.layer) continue;
-      if (!geom::closedTouch(bboxes[i], bboxes[j])) continue;
-      if (geom::skeletonsConnected(skels[i], skels[j]))
-        elemEdges[i].push_back(j);
-    }
-  });
-  for (std::size_t i = 0; i < ne; ++i)
-    for (std::size_t j : elemEdges[i]) uf.unite(i, j);
-
-  // Element-port and port-port connections: probe in parallel, unite
-  // serially. portEdges[pn] holds element nodes (< ne) touching the port
-  // and same/cross-device port nodes (>= ne) shorted to it.
-  std::vector<std::vector<std::size_t>> portEdges(np);
-  exec.parallelFor(np, [&](std::size_t pn) {
-    const std::size_t d = portNodes[pn].device;
-    const layout::Port& port = devices[d].ports[portNodes[pn].port];
-    static thread_local std::vector<std::size_t> cand;
-    view.flatCandidatesInto(false, port.layer, port.at, 0, cand);
-    for (std::size_t i : cand) {
-      if (elements[i].element.layer != port.layer) continue;
-      if (elementTouchesPort(elements[i].element, port.at))
-        portEdges[pn].push_back(i);
-    }
-    // Internal groups connect ports of the same device.
-    for (std::size_t qn = pn + 1; qn < np; ++qn) {
-      if (portNodes[qn].device != d) break;  // ports are grouped by device
-      const layout::Port& port2 = devices[d].ports[portNodes[qn].port];
-      if ((port.internalGroup >= 0 &&
-           port.internalGroup == port2.internalGroup) ||
-          // Abutting ports on the same layer short directly (butting
-          // devices).
-          (port.layer == port2.layer && geom::closedTouch(port.at, port2.at)))
-        portEdges[pn].push_back(ne + qn);
-    }
-    // Port-port across devices (abutting device terminals).
-    for (std::size_t qn : view.portCandidates(port.at, 1)) {
-      if (qn <= pn) continue;
-      const std::size_t d2 = portNodes[qn].device;
-      if (d2 == d) continue;
-      const layout::Port& port2 = devices[d2].ports[portNodes[qn].port];
-      if (port.layer == port2.layer && geom::closedTouch(port.at, port2.at))
-        portEdges[pn].push_back(ne + qn);
-    }
-  });
-  for (std::size_t pn = 0; pn < np; ++pn)
-    for (std::size_t other : portEdges[pn]) uf.unite(ne + pn, other);
+  // Internal groups connect ports of the same device (contacts).
+  for (std::size_t pn = 0; pn < np; ++pn) {
+    const int group = portAt(pn).internalGroup;
+    if (group < 0) continue;
+    for (std::size_t qn = pn + 1;
+         qn < np && portNodes[qn].device == portNodes[pn].device; ++qn)
+      if (portAt(qn).internalGroup == group) uf.unite(ne + pn, ne + qn);
+  }
 
   // Global label merging.
   if (opts.mergeByLabel) {

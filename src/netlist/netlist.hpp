@@ -7,13 +7,13 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "layout/library.hpp"
 #include "tech/technology.hpp"
 
 namespace dic::engine {
-class Executor;
 class HierarchyView;
 }  // namespace dic::engine
 
@@ -96,12 +96,21 @@ struct ExtractOptions {
 ///
 /// Connectivity rules (the paper's "check legal connections" stage):
 ///  * two interconnect elements on the same layer connect iff their
-///    skeletons touch (Fig. 11);
+///    bboxes touch (closed) and their skeletons touch (Fig. 11);
 ///  * an element connects to a device port on the same layer iff its
 ///    region (closed) touches the port rect;
+///  * two device ports on the same layer whose rects touch (closed) are
+///    shorted (abutting device terminals), within one device or across
+///    two;
 ///  * ports of one device instance sharing an internalGroup are connected
 ///    through the device (contacts);
-///  * device classes with no internal groups (FETs) keep terminals apart.
+///  * device classes with no internal groups (FETs) keep terminals apart;
+///  * an element or port whose bbox is not closedValid() (inverted) makes
+///    no geometric connection; layers compare by value, negative ids
+///    included.
+///
+/// Only the pairs candidatePairs() finds reach the exact tests; no spatial
+/// grid is built. Runs on the calling thread.
 Netlist extract(const layout::Library& lib, layout::CellId root,
                 const tech::Technology& tech, const ExtractOptions& opts = {});
 
@@ -112,21 +121,23 @@ Netlist extract(const layout::Library& lib, layout::CellId root,
 Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
                 const ExtractOptions& opts = {});
 
-/// Same, fanning the skeleton builds and connectivity probes (the
-/// critical path at larger chips) across `exec`'s worker pool. The
-/// candidate probes are pure reads collected into per-index slots and the
-/// union-find unions replay serially in index order, so the extracted
-/// netlist -- including net numbering -- is byte-identical to the serial
-/// overloads for every pool size.
-Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
-                engine::Executor& exec, const ExtractOptions& opts = {});
+/// The candidate pairs extract() tests exactly: every pair of flat(false)
+/// elements and device ports on one layer whose bboxes are closedValid()
+/// and touch (closed), as (lower node, higher node) in extraction
+/// numbering (see probeElementEdges). Found by one sort of all items by
+/// (layer, lo.x, node) and a forward scan from each item while lo.x stays
+/// within its hi.x; listed in scan order.
+std::vector<std::pair<std::size_t, std::size_t>> candidatePairs(
+    engine::HierarchyView& view);
 
 /// The connectivity edges incident to one flat element, as node ids in
 /// extraction numbering: element indexes in [0, ne), then port nodes as
 /// ne + portIndex (ne = view.flat(false).elements.size()). Sorted,
 /// deduplicated. Applies exactly the predicates extract() uses (same
 /// layer + closed bbox touch + skeleton connectivity for elements; same
-/// layer + region-touches-port for ports), so two probes of the same
+/// layer + region-touches-port for ports), but queries the view's lazily
+/// built flat(false) layer grids and port grid instead of sweeping the
+/// whole chip. Two probes of the same
 /// element before and after a geometry edit compare equal iff the edit
 /// left every connection of that element intact. This is the incremental
 /// check path's "netlist unchanged" test: if every edited element's edge

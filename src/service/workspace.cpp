@@ -326,8 +326,7 @@ std::shared_ptr<engine::HierarchyView> Workspace::view(layout::CellId root) {
 }
 
 std::shared_ptr<const netlist::Netlist> Workspace::netlistFor(
-    Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
-    bool& hit) {
+    Entry& e, const netlist::ExtractOptions& opts, bool& hit) {
   // nlMu is held across the extraction on purpose: a second request for
   // the same netlist blocks and then shares the result instead of
   // duplicating the critical-path work. cacheMu_ must NOT be taken while
@@ -341,7 +340,7 @@ std::shared_ptr<const netlist::Netlist> Workspace::netlistFor(
     } else {
       obs::ScopedSpan extractSpan("netlist.extract");
       e.netlist = std::make_shared<const netlist::Netlist>(
-          netlist::extract(*e.view, tech_, exec, opts));
+          netlist::extract(*e.view, tech_, opts));
       e.nlOpts = opts;
       e.netlistBytes.store(netlistMemoryBytes(*e.netlist),
                            std::memory_order_release);
@@ -421,8 +420,8 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
         // of duplicating the critical-path work.
         bool netlistHit = false;
         checker.setNetlistSupplier(
-            [this, entry, &req, &netlistHit](engine::Executor& e) {
-              return netlistFor(*entry, req.extract, e, netlistHit);
+            [this, entry, &req, &netlistHit](engine::Executor&) {
+              return netlistFor(*entry, req.extract, netlistHit);
             });
         r.report = checker.run(exec);
         if (engaged || populating) {
@@ -453,12 +452,12 @@ CheckResult Workspace::serve(const CheckRequest& req, engine::Executor& exec) {
         break;
       }
       case CheckKind::kErc: {
-        r.netlist = netlistFor(*entry, req.extract, exec, r.netlistCacheHit);
+        r.netlist = netlistFor(*entry, req.extract, r.netlistCacheHit);
         r.report = erc::check(*r.netlist, tech_, req.erc);
         break;
       }
       case CheckKind::kNetlistOnly: {
-        r.netlist = netlistFor(*entry, req.extract, exec, r.netlistCacheHit);
+        r.netlist = netlistFor(*entry, req.extract, r.netlistCacheHit);
         break;
       }
     }
@@ -611,9 +610,9 @@ std::vector<CheckResult> Workspace::runBatchImpl(
     pipe.add({p.name,
               {viewOf(p.root).name},
               [this, entry = viewOf(p.root).entry,
-               opts = p.opts](engine::Executor& e) {
+               opts = p.opts](engine::Executor&) {
                 bool nlHit = false;
-                netlistFor(*entry, opts, e, nlHit);
+                netlistFor(*entry, opts, nlHit);
                 return report::Report{};
               },
               costHint(CheckKind::kNetlistOnly)});
@@ -668,8 +667,8 @@ std::vector<CheckResult> Workspace::runBatchImpl(
         // after the shared prefetch (or a sibling request) published the
         // extraction, this is a handoff.
         st.checker->setNetlistSupplier(
-            [this, entry, opts = req.extract, &st](engine::Executor& e) {
-              return netlistFor(*entry, opts, e, st.netlistHit);
+            [this, entry, opts = req.extract, &st](engine::Executor&) {
+              return netlistFor(*entry, opts, st.netlistHit);
             });
         std::vector<std::string> prefetchDep;
         if (st.prefetch) prefetchDep.push_back(st.prefetch->name);
@@ -699,8 +698,8 @@ std::vector<CheckResult> Workspace::runBatchImpl(
       case CheckKind::kNetlistOnly: {
         st.ownStages.push_back(pfx + "netlist");
         pipe.add({pfx + "netlist", std::move(nlDeps),
-                  [this, entry, opts = req.extract, &st](engine::Executor& e) {
-                    st.netlist = netlistFor(*entry, opts, e, st.netlistHit);
+                  [this, entry, opts = req.extract, &st](engine::Executor&) {
+                    st.netlist = netlistFor(*entry, opts, st.netlistHit);
                     return report::Report{};
                   },
                   costHint(CheckKind::kNetlistOnly), req.traceId});

@@ -387,8 +387,7 @@ class Workspace {
   /// splits around edit barriers and feeds the segments here.
   std::vector<CheckResult> runBatchImpl(std::span<const CheckRequest> reqs);
   std::shared_ptr<const netlist::Netlist> netlistFor(
-      Entry& e, const netlist::ExtractOptions& opts, engine::Executor& exec,
-      bool& hit);
+      Entry& e, const netlist::ExtractOptions& opts, bool& hit);
   CheckResult serve(const CheckRequest& req, engine::Executor& exec);
   /// Evict coldest entries until the accounted bytes fit maxCacheBytes
   /// (no-op when the cap is 0). Runs after every request; never evicts

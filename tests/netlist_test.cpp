@@ -1,14 +1,21 @@
 // Tests for netlist extraction: skeletal connectivity, device terminals,
-// hierarchical names, label merging, golden comparison.
+// hierarchical names, label merging, golden comparison, and an all-pairs
+// reference extraction that pins extract() and probeElementEdges() to the
+// documented connectivity rules.
 #include <gtest/gtest.h>
 
-#include "engine/executor.hpp"
+#include <algorithm>
+#include <map>
+
 #include "engine/hierarchy_view.hpp"
 #include "netlist/netlist.hpp"
 #include "netlist_canonical.hpp"
 #include "netlist/unionfind.hpp"
+#include "service/workspace.hpp"
 #include "tech/technology.hpp"
 #include "workload/generator.hpp"
+#include "workload/inject.hpp"
+#include "workload/traffic.hpp"
 
 namespace dic::netlist {
 namespace {
@@ -25,6 +32,166 @@ TEST(UnionFind, Basics) {
   EXPECT_TRUE(uf.unite(1, 2));
   EXPECT_TRUE(uf.connected(0, 2));
   EXPECT_FALSE(uf.connected(0, 4));
+}
+
+/// The reference extraction: the connectivity rules documented in
+/// netlist.hpp applied to every pair of nodes, with no spatial grid and no
+/// sweep. Node ids follow extract(): flat elements, then device ports in
+/// (device, port) order, then one node per distinct global label.
+struct Reference {
+  Netlist netlist;
+  /// Sorted connectivity edges of each flat element, as node ids.
+  std::vector<std::vector<std::size_t>> elementEdges;
+  /// Sorted (lower, higher) node pairs on one layer whose closed-valid
+  /// bboxes touch: what candidatePairs() must find.
+  std::vector<std::pair<std::size_t, std::size_t>> candidates;
+};
+
+Reference referenceExtract(const layout::Library& lib, layout::CellId root,
+                           const tech::Technology& tech) {
+  const ExtractOptions opts;
+  std::vector<layout::FlatElement> elements;
+  std::vector<layout::FlatDevice> devices;
+  lib.flatten(root, elements, devices, false);
+  const std::size_t ne = elements.size();
+  std::vector<std::pair<std::size_t, std::size_t>> portRefs;
+  for (std::size_t d = 0; d < devices.size(); ++d)
+    for (std::size_t p = 0; p < devices[d].ports.size(); ++p)
+      portRefs.push_back({d, p});
+  const std::size_t np = portRefs.size();
+  const auto portAt = [&](std::size_t pn) -> const layout::Port& {
+    return devices[portRefs[pn].first].ports[portRefs[pn].second];
+  };
+  std::map<std::string, std::size_t> labelNode;
+  for (const layout::FlatElement& fe : elements)
+    if (opts.mergeByLabel && !fe.element.net.empty() &&
+        opts.isGlobalLabel(fe.element.net) && !labelNode.count(fe.element.net))
+      labelNode.emplace(fe.element.net, ne + np + labelNode.size());
+
+  Reference ref;
+  ref.elementEdges.resize(ne);
+  UnionFind uf(ne + np + labelNode.size());
+  const auto connect = [&](std::size_t a, std::size_t b) {
+    uf.unite(a, b);
+    if (a < ne) ref.elementEdges[a].push_back(b);
+    if (b < ne) ref.elementEdges[b].push_back(a);
+  };
+
+  // Every node's layer and bbox, for the candidate rule.
+  std::vector<std::pair<int, geom::Rect>> shape;
+  for (const layout::FlatElement& fe : elements)
+    shape.push_back({fe.element.layer, fe.element.bbox()});
+  for (std::size_t pn = 0; pn < np; ++pn)
+    shape.push_back({portAt(pn).layer, portAt(pn).at});
+  const auto candidate = [&](std::size_t a, std::size_t b) {
+    return shape[a].first == shape[b].first &&
+           shape[a].second.closedValid() && shape[b].second.closedValid() &&
+           geom::closedTouch(shape[a].second, shape[b].second);
+  };
+  for (std::size_t a = 0; a < ne + np; ++a)
+    for (std::size_t b = a + 1; b < ne + np; ++b)
+      if (candidate(a, b)) ref.candidates.push_back({a, b});
+
+  std::vector<geom::Skeleton> skels;
+  for (const layout::FlatElement& fe : elements)
+    skels.push_back(
+        fe.element.skeleton(tech.layer(fe.element.layer).minWidth));
+  for (std::size_t i = 0; i < ne; ++i) {
+    for (std::size_t j = i + 1; j < ne; ++j)
+      if (candidate(i, j) && geom::skeletonsConnected(skels[i], skels[j]))
+        connect(i, j);
+    const geom::Region region = elements[i].element.region();
+    for (std::size_t pn = 0; pn < np; ++pn) {
+      const geom::Rect& at = portAt(pn).at;
+      if (candidate(i, ne + pn) &&
+          std::any_of(region.rects().begin(), region.rects().end(),
+                      [&](const geom::Rect& r) {
+                        return geom::closedTouch(r, at);
+                      }))
+        connect(i, ne + pn);
+    }
+  }
+  for (std::size_t pn = 0; pn < np; ++pn)
+    for (std::size_t qn = pn + 1; qn < np; ++qn) {
+      const int group = portAt(pn).internalGroup;
+      const bool grouped = portRefs[pn].first == portRefs[qn].first &&
+                           group >= 0 && group == portAt(qn).internalGroup;
+      if (candidate(ne + pn, ne + qn) || grouped) connect(ne + pn, ne + qn);
+    }
+  for (std::size_t i = 0; i < ne; ++i)
+    if (labelNode.count(elements[i].element.net))
+      uf.unite(i, labelNode.at(elements[i].element.net));
+  for (std::vector<std::size_t>& edges : ref.elementEdges)
+    std::sort(edges.begin(), edges.end());
+
+  // Nets are numbered in first-encounter node order: elements, then ports.
+  Netlist& nl = ref.netlist;
+  std::map<std::size_t, int> rootToNet;
+  const auto netOf = [&](std::size_t node) {
+    const auto [it, fresh] = rootToNet.emplace(
+        uf.find(node), static_cast<int>(nl.nets.size()));
+    if (fresh) {
+      nl.nets.emplace_back();
+      nl.nets.back().id = it->second;
+    }
+    return it->second;
+  };
+  for (std::size_t i = 0; i < ne; ++i) {
+    const layout::FlatElement& fe = elements[i];
+    const int id = netOf(i);
+    nl.elementNet.push_back(id);
+    Net& n = nl.nets[id];
+    n.elementCount++;
+    n.bbox = geom::bound(n.bbox, fe.element.bbox());
+    const std::string& label = fe.element.net;
+    if (label.empty()) continue;
+    const std::string name = fe.path.empty() || opts.isGlobalLabel(label)
+                                 ? label
+                                 : fe.path + "." + label;
+    if (!n.hasName(name)) n.names.push_back(name);
+  }
+  // Devices carry only the fields canonicalText compares.
+  for (const layout::FlatDevice& d : devices) {
+    nl.devices.emplace_back();
+    nl.devices.back().path = d.path;
+    nl.devices.back().type = d.deviceType;
+  }
+  for (std::size_t pn = 0; pn < np; ++pn) {
+    const std::size_t d = portRefs[pn].first;
+    const int id = netOf(ne + pn);
+    nl.devices[d].portNets[portAt(pn).name] = id;
+    nl.nets[id].terminals.push_back({d, portAt(pn).name, id});
+  }
+  return ref;
+}
+
+/// extract() reproduces the reference netlist byte for byte, directly
+/// and as a pipeline stage of Workspace batches (beside a DRC request on
+/// the same view) at pool sizes 1, 2 and 8; candidatePairs() finds
+/// exactly the reference's candidates; and probeElementEdges() returns
+/// the reference's edges for every flat element.
+void expectMatchesReference(const layout::Library& lib, layout::CellId root,
+                            const tech::Technology& t,
+                            const std::string& label) {
+  const Reference ref = referenceExtract(lib, root, t);
+  const std::string want = testing::canonicalText(ref.netlist);
+  engine::HierarchyView view(lib, root);
+  EXPECT_EQ(want, testing::canonicalText(extract(view, t))) << label;
+  auto pairs = candidatePairs(view);
+  std::sort(pairs.begin(), pairs.end());
+  EXPECT_EQ(ref.candidates, pairs) << label;
+  for (std::size_t k = 0; k < ref.elementEdges.size(); ++k)
+    EXPECT_EQ(ref.elementEdges[k], probeElementEdges(view, t, k))
+        << label << " element " << k;
+  for (const int threads : {1, 2, 8}) {
+    Workspace ws(lib, t, WorkspaceOptions{threads});
+    const CheckRequest batch[] = {CheckRequest::drc(root),
+                                  CheckRequest::netlistOnly(root)};
+    const std::vector<CheckResult> rs = ws.runBatch(batch);
+    ASSERT_TRUE(rs[1].ok() && rs[1].netlist) << label;
+    EXPECT_EQ(want, testing::canonicalText(*rs[1].netlist))
+        << label << " threads=" << threads;
+  }
 }
 
 class ExtractTest : public ::testing::Test {
@@ -220,21 +387,150 @@ TEST_F(ExtractTest, GoldenComparisonAcceptsInverter) {
   EXPECT_FALSE(compareAgainstGolden(nl, wrong).empty());
 }
 
-TEST(ExtractParallel, ThreadSweepIsByteIdenticalToSerial) {
-  // The pooled extraction overload collects connectivity edges in
-  // per-index slots and replays the unions serially, so every pool size
-  // must reproduce the serial netlist exactly -- ids, names, terminals.
-  const tech::Technology t = tech::nmos();
-  workload::GeneratedChip chip = workload::generateChip(t, {1, 2, 2, 3, true});
+/// A device cell with the given ports and no internal geometry in the
+/// flat(false) view, so only its ports take part in extraction.
+layout::CellId addTerminalCell(layout::Library& lib, const std::string& name,
+                               std::vector<layout::Port> ports) {
+  layout::Cell c;
+  c.name = name;
+  c.deviceType = "TERM";
+  for (const layout::Port& p : ports)
+    if (p.at.closedValid()) c.elements.push_back(makeBox(0, p.at));
+  c.ports = std::move(ports);
+  return lib.addCell(std::move(c));
+}
 
-  engine::HierarchyView view(chip.lib, chip.top);
-  engine::Executor serial(1);
-  const std::string ref = testing::canonicalText(extract(view, t, serial));
-  EXPECT_FALSE(ref.empty());
-  for (const int threads : {2, 8}) {
-    engine::Executor pooled(threads);
-    EXPECT_EQ(ref, testing::canonicalText(extract(view, t, pooled))) << "threads=" << threads;
-  }
+TEST_F(ExtractTest, InvertedBBoxElementNeverConnects) {
+  // Flattening normalizes boxes, but a negative-width wire keeps an
+  // inverted bbox. Its corners lie inside the metal bar and the port, so
+  // a bare closedTouch of the rects would pass.
+  layout::Library lib;
+  const auto dev = addTerminalCell(
+      lib, "term", {{"P", nm, makeRect(0, 0, 2 * L, 2 * L), -1}});
+  layout::Cell top;
+  top.name = "top";
+  top.elements.push_back(makeBox(nm, makeRect(0, 0, 20 * L, 3 * L)));
+  top.elements.push_back(makeWire(nm, {{5 * L, L}, {6 * L, 2 * L}}, -2 * L));
+  top.instances.push_back({dev, {geom::Orient::kR0, {5 * L, 1 * L}}, "d"});
+  const auto root = lib.addCell(std::move(top));
+  const Netlist nl = extract(lib, root, t);
+  ASSERT_EQ(nl.elementNet.size(), 2u);
+  engine::HierarchyView view(lib, root);
+  ASSERT_FALSE(view.flat(false).bboxes[1].closedValid());
+  EXPECT_NE(nl.elementNet[0], nl.elementNet[1]);
+  EXPECT_EQ(nl.devices[0].portNets.at("P"), nl.elementNet[0]);
+  EXPECT_TRUE(probeElementEdges(view, t, 1).empty());
+  expectMatchesReference(lib, root, t, "inverted");
+}
+
+TEST_F(ExtractTest, NegativeLayerPortsShortOnlyOnTheirOwnLayer) {
+  // Negative layer ids compare by value: two abutting ports on layer -1
+  // short; a port on layer -2 over the same spot stays apart.
+  layout::Library lib;
+  const auto a = addTerminalCell(
+      lib, "a", {{"P", -1, makeRect(0, 0, 2 * L, 2 * L), -1}});
+  const auto b = addTerminalCell(
+      lib, "b", {{"P", -2, makeRect(0, 0, 2 * L, 2 * L), -1}});
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({a, {geom::Orient::kR0, {0, 0}}, "a1"});
+  top.instances.push_back({a, {geom::Orient::kR0, {2 * L, 0}}, "a2"});
+  top.instances.push_back({b, {geom::Orient::kR0, {2 * L, 0}}, "b1"});
+  const auto root = lib.addCell(std::move(top));
+  const Netlist nl = extract(lib, root, t);
+  ASSERT_EQ(nl.devices.size(), 3u);
+  EXPECT_EQ(nl.devices[0].portNets.at("P"), nl.devices[1].portNets.at("P"));
+  EXPECT_NE(nl.devices[0].portNets.at("P"), nl.devices[2].portNets.at("P"));
+  expectMatchesReference(lib, root, t, "negative layer");
+}
+
+TEST_F(ExtractTest, ZeroLengthWireConnectsThroughItsPoint) {
+  layout::Library lib;
+  layout::Cell top;
+  top.name = "top";
+  top.elements.push_back(makeWire(nm, {{0, 0}, {20 * L, 0}}, 3 * L));
+  top.elements.push_back(makeWire(nm, {{10 * L, 0}, {10 * L, 0}}, 3 * L));
+  top.elements.push_back(makeWire(nm, {{50 * L, 0}, {50 * L, 0}}, 3 * L));
+  const auto root = lib.addCell(std::move(top));
+  const Netlist nl = extract(lib, root, t);
+  ASSERT_EQ(nl.elementNet.size(), 3u);
+  EXPECT_EQ(nl.elementNet[0], nl.elementNet[1]);
+  EXPECT_NE(nl.elementNet[0], nl.elementNet[2]);
+  expectMatchesReference(lib, root, t, "zero-length wire");
+}
+
+TEST_F(ExtractTest, AbuttingPortsOfTwoDevicesShort) {
+  layout::Library lib;
+  const auto dev = addTerminalCell(
+      lib, "term", {{"P", nm, makeRect(0, 0, 2 * L, 2 * L), -1}});
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({dev, {geom::Orient::kR0, {0, 0}}, "d1"});
+  top.instances.push_back({dev, {geom::Orient::kR0, {2 * L, 0}}, "d2"});
+  top.instances.push_back({dev, {geom::Orient::kR0, {5 * L, 0}}, "d3"});
+  top.elements.push_back(makeWire(nm, {{0, 0}, {0, 20 * L}}, 2 * L, "sig"));
+  const auto root = lib.addCell(std::move(top));
+  const Netlist nl = extract(lib, root, t);
+  ASSERT_EQ(nl.devices.size(), 3u);
+  const int p1 = nl.devices[0].portNets.at("P");
+  EXPECT_EQ(p1, nl.devices[1].portNets.at("P"));
+  EXPECT_NE(p1, nl.devices[2].portNets.at("P"));
+  EXPECT_TRUE(nl.nets[p1].hasName("sig"));
+  expectMatchesReference(lib, root, t, "two-device abut");
+}
+
+TEST_F(ExtractTest, AbuttingPortsOfOneDeviceShort) {
+  // Ports of one device short when they abut on one layer, even with no
+  // internal group; apart, or on different layers, they stay separate.
+  layout::Library lib;
+  const auto abut = addTerminalCell(
+      lib, "abut",
+      {{"A", nm, makeRect(0, 0, 2 * L, 2 * L), -1},
+       {"B", nm, makeRect(2 * L, 0, 4 * L, 2 * L), -1}});
+  const auto apart = addTerminalCell(
+      lib, "apart",
+      {{"A", nm, makeRect(0, 0, 2 * L, 2 * L), -1},
+       {"B", nm, makeRect(3 * L, 0, 5 * L, 2 * L), -1},
+       {"C", np, makeRect(2 * L, 0, 3 * L, 2 * L), -1}});
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({abut, {geom::Orient::kR0, {0, 0}}, "u"});
+  top.instances.push_back({apart, {geom::Orient::kR0, {0, 20 * L}}, "v"});
+  const auto root = lib.addCell(std::move(top));
+  const Netlist nl = extract(lib, root, t);
+  ASSERT_EQ(nl.devices.size(), 2u);
+  EXPECT_EQ(nl.devices[0].portNets.at("A"), nl.devices[0].portNets.at("B"));
+  const auto& v = nl.devices[1].portNets;
+  EXPECT_NE(v.at("A"), v.at("B"));
+  EXPECT_NE(v.at("A"), v.at("C"));
+  EXPECT_NE(v.at("B"), v.at("C"));
+  expectMatchesReference(lib, root, t, "one-device abut");
+}
+
+TEST(ExtractReference, ChipsMatchAllPairsExtraction) {
+  // Generated chips up to 256 inverters, each plain and with injected
+  // defects, then again after seeded element nudges (expectMatchesReference
+  // lists what must agree).
+  const tech::Technology t = tech::nmos();
+  const workload::ChipParams sizes[] = {
+      {1, 1, 2, 2, true}, {1, 2, 2, 3, true}, {2, 2, 2, 4, true},
+      {2, 4, 4, 8, true}};
+  for (const workload::ChipParams& size : sizes)
+    for (const unsigned seed : {0u, 7u, 42u}) {
+      workload::GeneratedChip chip = workload::generateChip(t, size);
+      if (seed) workload::inject(chip, t, workload::InjectionPlan{}, seed);
+      const std::string label = std::to_string(chip.inverterCount()) +
+                                " inverters, inject seed " +
+                                std::to_string(seed);
+      expectMatchesReference(chip.lib, chip.top, t, label);
+      for (std::uint64_t e = 0; e < 8; ++e) {
+        const EditOp op = workload::makeEditOp(seed * 16 + e, chip.lib,
+                                               chip.top);
+        if (op.kind == EditOp::Kind::kSetElement)
+          chip.lib.setElement(op.cell, op.index, op.element);
+      }
+      expectMatchesReference(chip.lib, chip.top, t, label + ", nudged");
+    }
 }
 
 }  // namespace
