@@ -16,11 +16,6 @@ using geom::Region;
 
 using engine::joinPath;  // the one true dot-notation path composition
 
-std::string key(const std::string& path, layout::CellId cell,
-                std::size_t idx) {
-  return path + "#" + std::to_string(cell) + "#" + std::to_string(idx);
-}
-
 /// A shape prepared for pair checking: geometry plus identity.
 struct Shape {
   layout::Element elem;
@@ -28,29 +23,31 @@ struct Shape {
   Region region;
   geom::Skeleton skel;
   bool deviceInternal{false};
-  layout::CellId srcCell{0};
   std::size_t srcIdx{0};
   std::string localPath;  ///< path relative to the cell being processed
+  std::size_t node{0};    ///< node id relative to the cell being processed
 };
 
 Shape makeShape(layout::Element e, const tech::Technology& tech,
-                bool deviceInternal, layout::CellId srcCell,
-                std::size_t srcIdx, std::string localPath) {
+                bool deviceInternal, std::size_t srcIdx,
+                std::string localPath, std::size_t node) {
   Shape s;
   s.bbox = e.bbox();
   s.region = e.region();
   s.skel = e.skeleton(tech.layer(e.layer).minWidth);
   s.elem = std::move(e);
   s.deviceInternal = deviceInternal;
-  s.srcCell = srcCell;
   s.srcIdx = srcIdx;
   s.localPath = std::move(localPath);
+  s.node = node;
   return s;
 }
 
-Shape makeShape(const engine::WindowElement& we, const tech::Technology& tech) {
-  return makeShape(we.element, tech, we.fromDevice, we.sourceCell,
-                   we.sourceIndex, we.path);
+/// A window element collected under the child at `nodeOffset`.
+Shape makeShape(const engine::WindowElement& we, const tech::Technology& tech,
+                std::size_t nodeOffset) {
+  return makeShape(we.element, tech, we.fromDevice, we.sourceIndex, we.path,
+                   nodeOffset + we.node);
 }
 
 /// Placement-independent geometric facts about a candidate pair.
@@ -71,85 +68,81 @@ bool bboxesWithin(const Rect& a, const Rect& b, Coord d) {
 }  // namespace
 
 void InteractionContext::buildMaps() {
-  if (ready_) return;
-  ready_ = true;
-  const engine::HierarchyView::Flat& f = view.flat(false);
-  for (std::size_t i = 0;
-       i < f.elements.size() && i < nl.elementNet.size(); ++i) {
-    netByKey_[key(f.elements[i].path, f.elements[i].sourceCell,
-                  f.elements[i].sourceIndex)] = nl.elementNet[i];
-  }
+  if (nodes_) return;
+  nodes_ = &view.nodes();
+  deviceNets_.reserve(nl.devices.size());
   for (const netlist::ExtractedDevice& d : nl.devices) {
     std::vector<int> nets;
     for (const auto& [port, net] : d.portNets) nets.push_back(net);
     std::sort(nets.begin(), nets.end());
     nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
-    netsByDevice_[d.path] = std::move(nets);
-    if (d.cls == tech::DeviceClass::kResistor ||
-        d.cls == tech::DeviceClass::kBipolarResistor)
-      resistorDevices_.insert(d.path);
+    deviceNets_.push_back(std::move(nets));
   }
 }
 
-int InteractionContext::elementNet(const std::string& path,
-                                   layout::CellId cell,
-                                   std::size_t index) const {
-  auto it = netByKey_.find(key(path, cell, index));
-  return it == netByKey_.end() ? -1 : it->second;
+int InteractionContext::elementNet(std::size_t node, std::size_t index) const {
+  const engine::HierarchyView::Node& n = (*nodes_)[node];
+  if (n.insideDevice) return -1;
+  const std::size_t k = n.elemBase + index;
+  return k < nl.elementNet.size() ? nl.elementNet[k] : -1;
 }
 
 const std::vector<int>* InteractionContext::deviceNets(
-    const std::string& path) const {
-  auto it = netsByDevice_.find(path);
-  return it == netsByDevice_.end() ? nullptr : &it->second;
+    std::size_t node) const {
+  const int d = (*nodes_)[node].device;
+  return d >= 0 && static_cast<std::size_t>(d) < deviceNets_.size()
+             ? &deviceNets_[d]
+             : nullptr;
 }
 
-bool InteractionContext::isResistor(const std::string& path) const {
-  return resistorDevices_.count(path) > 0;
+bool InteractionContext::isResistor(std::size_t node) const {
+  const int d = (*nodes_)[node].device;
+  if (d < 0 || static_cast<std::size_t>(d) >= nl.devices.size()) return false;
+  const tech::DeviceClass cls = nl.devices[d].cls;
+  return cls == tech::DeviceClass::kResistor ||
+         cls == tech::DeviceClass::kBipolarResistor;
 }
 
 namespace {
 
-/// Net relation of a shape pair in a specific placement context
-/// (placementPath prefixes both shapes' local paths). Returns nullopt for
-/// intra-device pairs (stage 2's business).
+/// Net relation of a shape pair in a specific placement context (the
+/// placement's node id plus each shape's relative node is the shape's
+/// node). Returns nullopt for intra-device pairs (stage 2's business).
 std::optional<tech::NetRelation> relationOf(const InteractionContext& ctx,
                                             const Shape& a, const Shape& b,
-                                            const std::string& placementPath) {
-  const std::string pa = joinPath(placementPath, a.localPath);
-  const std::string pb = joinPath(placementPath, b.localPath);
+                                            std::size_t placementNode) {
+  const std::size_t na = placementNode + a.node;
+  const std::size_t nb = placementNode + b.node;
   if (a.deviceInternal && b.deviceInternal) {
-    if (pa == pb) return std::nullopt;  // same device instance
-    const auto* na = ctx.deviceNets(pa);
-    const auto* nb = ctx.deviceNets(pb);
-    if (na && nb) {
-      const bool share = std::find_first_of(na->begin(), na->end(),
-                                            nb->begin(), nb->end()) !=
-                         na->end();
+    if (na == nb) return std::nullopt;  // same device instance
+    const auto* da = ctx.deviceNets(na);
+    const auto* db = ctx.deviceNets(nb);
+    if (da && db) {
+      const bool share = std::find_first_of(da->begin(), da->end(),
+                                            db->begin(), db->end()) !=
+                         da->end();
       if (share)
-        return (ctx.isResistor(pa) || ctx.isResistor(pb))
+        return (ctx.isResistor(na) || ctx.isResistor(nb))
                    ? tech::NetRelation::kDiffNet
                    : tech::NetRelation::kRelated;
     }
     return tech::NetRelation::kDiffNet;
   }
   if (a.deviceInternal || b.deviceInternal) {
-    const Shape& dev = a.deviceInternal ? a : b;
     const Shape& ic = a.deviceInternal ? b : a;
-    const std::string& dp = a.deviceInternal ? pa : pb;
-    const std::string& ip = a.deviceInternal ? pb : pa;
-    const auto* nets = ctx.deviceNets(dp);
-    const int net = ctx.elementNet(ip, ic.srcCell, ic.srcIdx);
-    (void)dev;
+    const std::size_t dn = a.deviceInternal ? na : nb;
+    const std::size_t in = a.deviceInternal ? nb : na;
+    const auto* nets = ctx.deviceNets(dn);
+    const int net = ctx.elementNet(in, ic.srcIdx);
     if (nets && net >= 0 &&
         std::find(nets->begin(), nets->end(), net) != nets->end())
-      return ctx.isResistor(dp) ? tech::NetRelation::kDiffNet
+      return ctx.isResistor(dn) ? tech::NetRelation::kDiffNet
                                 : tech::NetRelation::kRelated;
     return tech::NetRelation::kDiffNet;
   }
-  const int na = ctx.elementNet(pa, a.srcCell, a.srcIdx);
-  const int nb = ctx.elementNet(pb, b.srcCell, b.srcIdx);
-  if (na >= 0 && na == nb) return tech::NetRelation::kSameNet;
+  const int ea = ctx.elementNet(na, a.srcIdx);
+  const int eb = ctx.elementNet(nb, b.srcIdx);
+  if (ea >= 0 && ea == eb) return tech::NetRelation::kSameNet;
   return tech::NetRelation::kDiffNet;
 }
 
@@ -180,7 +173,7 @@ PairGeometry pairGeometry(const InteractionContext& ctx, const Shape& a,
 /// Counts into `stats` (a worker-private copy during parallel runs).
 void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
                   const Shape& a, const Shape& b, const PairGeometry& g,
-                  const std::string& placementPath,
+                  const std::string& placementPath, std::size_t placementNode,
                   const geom::Transform& placement, report::Report& rep,
                   bool skipConnectionCheck) {
   // Early-outs that need no net information: a legal connection, or a
@@ -194,7 +187,7 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
   }
 
   const auto rel = ctx.useNets
-                       ? relationOf(ctx, a, b, placementPath)
+                       ? relationOf(ctx, a, b, placementNode)
                        : std::optional<tech::NetRelation>(
                              tech::NetRelation::kUnknown);
   if (!rel) return;  // intra-device
@@ -266,14 +259,21 @@ report::Report checkInteractionsFlat(InteractionContext& ctx,
   const layout::Library& lib = ctx.view.library();
 
   // Every element in the design, device internals included, with full
-  // paths as local paths (placementPath = "").
+  // paths as local paths and absolute node ids (placement: the root,
+  // path "" and node 0).
   const engine::HierarchyView::Flat& f = ctx.view.flat(true);
+  std::vector<std::size_t> nodeOf(f.elements.size());
+  const auto& nodes = ctx.view.nodes();
+  for (std::size_t n = 0; n < nodes.size(); ++n) {
+    const std::size_t count = lib.cell(nodes[n].cell).elements.size();
+    std::fill_n(nodeOf.begin() + nodes[n].elemBaseAll, count, n);
+  }
   std::vector<Shape> shapes(f.elements.size());
   exec.parallelFor(f.elements.size(), [&](std::size_t i) {
     const layout::FlatElement& e = f.elements[i];
     shapes[i] = makeShape(e.element, ctx.tech,
-                          lib.cell(e.sourceCell).isDevice(), e.sourceCell,
-                          e.sourceIndex, e.path);
+                          lib.cell(e.sourceCell).isDevice(), e.sourceIndex,
+                          e.path, nodeOf[i]);
   });
 
   // Workers stream candidate pairs straight out of the engine's
@@ -308,10 +308,8 @@ report::Report checkInteractionsFlat(InteractionContext& ctx,
         const PairGeometry g = pairGeometry(ctx, shapes[i], shapes[j]);
         // Same-cell-instance pairs had their connection legality checked
         // in stage 3; do not duplicate those reports.
-        const bool sameCellInstance =
-            shapes[i].localPath == shapes[j].localPath &&
-            shapes[i].srcCell == shapes[j].srcCell;
-        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], g, "", id,
+        const bool sameCellInstance = shapes[i].node == shapes[j].node;
+        evaluatePair(ctx, chunkStats[c], shapes[i], shapes[j], g, "", 0, id,
                      chunkReps[c], sameCellInstance);
       }
     }
@@ -501,7 +499,8 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
     auto built = std::make_shared<std::vector<Shape>>();
     built->reserve(c.elements.size());
     for (std::size_t i = 0; i < c.elements.size(); ++i)
-      built->push_back(makeShape(c.elements[i], ctx.tech, false, w.id, i, ""));
+      built->push_back(
+          makeShape(c.elements[i], ctx.tech, false, i, "", 0));
     w.local = std::move(built);
   });
   // Publish this run's vectors serially (the map is not written during
@@ -532,7 +531,7 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
           ++stats.candidatePairs;
           const PairGeometry g = pairGeometry(ctx, local[i], local[j]);
           for (const auto& p : *w.places)
-            evaluatePair(ctx, stats, local[i], local[j], g, p.path,
+            evaluatePair(ctx, stats, local[i], local[j], g, p.path, p.node,
                          p.transform, out, /*skipConnectionCheck=*/true);
         }
         break;
@@ -562,7 +561,7 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         std::vector<Shape> xs;
         xs.reserve(inner.size());
         for (const engine::WindowElement& we : inner)
-          xs.push_back(makeShape(we, ctx.tech));
+          xs.push_back(makeShape(we, ctx.tech, ch.nodeOffset));
         for (const Shape& e : local) {
           if (!bboxesWithin(e.bbox, ch.bbox, dmax)) continue;
           for (const Shape& x : xs) {
@@ -570,8 +569,8 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
             ++stats.candidatePairs;
             const PairGeometry g = pairGeometry(ctx, e, x);
             for (const auto& p : *w.places)
-              evaluatePair(ctx, stats, e, x, g, p.path, p.transform, out,
-                           false);
+              evaluatePair(ctx, stats, e, x, g, p.path, p.node, p.transform,
+                           out, false);
           }
         }
         break;
@@ -588,16 +587,18 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
         std::vector<Shape> si, sj;
         si.reserve(wi.size());
         sj.reserve(wj.size());
-        for (const auto& we : wi) si.push_back(makeShape(we, ctx.tech));
-        for (const auto& we : wj) sj.push_back(makeShape(we, ctx.tech));
+        for (const auto& we : wi)
+          si.push_back(makeShape(we, ctx.tech, ci.nodeOffset));
+        for (const auto& we : wj)
+          sj.push_back(makeShape(we, ctx.tech, cj.nodeOffset));
         for (const Shape& a : si) {
           for (const Shape& b : sj) {
             if (!bboxesWithin(a.bbox, b.bbox, dmax)) continue;
             ++stats.candidatePairs;
             const PairGeometry g = pairGeometry(ctx, a, b);
             for (const auto& p : *w.places)
-              evaluatePair(ctx, stats, a, b, g, p.path, p.transform, out,
-                           false);
+              evaluatePair(ctx, stats, a, b, g, p.path, p.node, p.transform,
+                           out, false);
           }
         }
         break;

@@ -3,9 +3,6 @@
 /// Internal stage implementations of the DIC pipeline. Public interface is
 /// drc/checker.hpp; these are exposed for unit testing of each stage.
 
-#include <map>
-#include <set>
-#include <string>
 #include <vector>
 
 #include "drc/checker.hpp"
@@ -33,7 +30,9 @@ std::vector<report::Violation> checkCellConnections(
 
 /// Shared context of the interaction stage (stage 5). All placement
 /// enumeration, flattening, and candidate-pair queries go through the
-/// engine::HierarchyView; this context only adds net knowledge on top.
+/// engine::HierarchyView; this context only adds net knowledge on top,
+/// resolved by the view's node ids (HierarchyView::nodes()) rather than
+/// by instance-path strings.
 struct InteractionContext {
   InteractionContext(engine::HierarchyView& view_,
                      const tech::Technology& tech_,
@@ -51,21 +50,23 @@ struct InteractionContext {
   InteractionStats& stats;
   bool useNets{true};
 
-  /// Flat net id of an interconnect element, -1 if unknown/none.
-  int elementNet(const std::string& path, layout::CellId cell,
-                 std::size_t index) const;
-  /// Terminal nets of a device instance path (empty if not a device).
-  const std::vector<int>* deviceNets(const std::string& path) const;
+  /// Flat net id of element `index` of the placement at `node`, -1 if
+  /// unknown/none (device internals have no flat(false) slot).
+  int elementNet(std::size_t node, std::size_t index) const;
+  /// Sorted distinct terminal nets of the device placed at `node`; null
+  /// if that placement is not a (top-level) device instance.
+  const std::vector<int>* deviceNets(std::size_t node) const;
   /// Resistor devices always get spacing checks (Fig. 5b).
-  bool isResistor(const std::string& path) const;
+  bool isResistor(std::size_t node) const;
 
+  /// Bind the node table and index the netlist's device terminals; call
+  /// once, serially, before fanning pairs across workers.
   void buildMaps();
 
  private:
-  std::map<std::string, int> netByKey_;
-  std::map<std::string, std::vector<int>> netsByDevice_;
-  std::set<std::string> resistorDevices_;
-  bool ready_{false};
+  const std::vector<engine::HierarchyView::Node>* nodes_{nullptr};
+  /// Sorted distinct port nets, parallel to nl.devices.
+  std::vector<std::vector<int>> deviceNets_;
 };
 
 /// Stage 5, exact reference: flatten everything and check all candidate

@@ -91,24 +91,43 @@ const std::vector<Placement>& HierarchyView::placementsOf(
   return it == placements_.end() ? kNone : it->second;
 }
 
+const std::vector<HierarchyView::Node>& HierarchyView::nodes() const {
+  ensurePlacements();
+  return nodes_;
+}
+
 void HierarchyView::ensurePlacements() const {
   if (placementsReady_.load(std::memory_order_acquire)) return;
   std::lock_guard<std::recursive_mutex> lock(mu_);
   if (placementsReady_.load(std::memory_order_relaxed)) return;
+  // One preorder walk numbers the nodes and counts flat slots exactly as
+  // Library::flattenRec emits them: every element into flat(true), only
+  // those outside devices into flat(false), each outermost device once.
+  std::size_t base = 0, baseAll = 0;
+  int devices = 0;
+  subtreeSize_.assign(lib_.cellCount(), 0);
   std::function<void(layout::CellId, const geom::Transform&,
-                     const std::string&)>
+                     const std::string&, bool)>
       rec = [&](layout::CellId id, const geom::Transform& t,
-                const std::string& path) {
-        placements_[id].push_back({t, path});
+                const std::string& path, bool insideDevice) {
+        const layout::Cell& c = lib_.cell(id);
+        const std::size_t n = nodes_.size();
+        Node node{id, base, baseAll, -1, insideDevice || c.isDevice()};
+        if (c.isDevice() && !insideDevice) node.device = devices++;
+        if (!node.insideDevice) base += c.elements.size();
+        baseAll += c.elements.size();
+        nodes_.push_back(node);
+        placements_[id].push_back({t, path, n});
         int childNo = 0;
-        for (const layout::Instance& inst : lib_.cell(id).instances) {
+        for (const layout::Instance& inst : c.instances) {
           const std::string childName = instanceName(lib_, inst, childNo);
           ++childNo;
           rec(inst.cell, geom::compose(inst.transform, t),
-              joinPath(path, childName));
+              joinPath(path, childName), node.insideDevice);
         }
+        subtreeSize_[id] = nodes_.size() - n;
       };
-  rec(root_, geom::identityTransform(), "");
+  rec(root_, geom::identityTransform(), "", false);
   lib_.forEachCellOnce(root_, [&](layout::CellId id) {
     cells_.push_back(id);
   });
@@ -117,6 +136,8 @@ void HierarchyView::ensurePlacements() const {
   // hit the cache instead of contending on its mutex to recompute.
   lib_.cellBBox(root_);
   std::size_t b = cells_.capacity() * sizeof(layout::CellId);
+  b += nodes_.capacity() * sizeof(Node) +
+       subtreeSize_.capacity() * sizeof(std::size_t);
   for (const auto& [id, v] : placements_) {
     (void)id;
     b += sizeof(v) + 3 * sizeof(void*);  // map node, approximate
@@ -135,6 +156,7 @@ std::vector<ChildRef> HierarchyView::children(layout::CellId id) const {
   std::vector<ChildRef> out;
   out.reserve(c.instances.size());
   int childNo = 0;
+  std::size_t nodeOffset = 1;
   for (std::size_t k = 0; k < c.instances.size(); ++k) {
     const layout::Instance& inst = c.instances[k];
     ChildRef ch;
@@ -143,7 +165,9 @@ std::vector<ChildRef> HierarchyView::children(layout::CellId id) const {
     ch.transform = inst.transform;
     ch.bbox = inst.transform.apply(lib_.cellBBox(inst.cell));
     ch.name = instanceName(lib_, inst, childNo);
+    ch.nodeOffset = nodeOffset;
     ++childNo;
+    nodeOffset += subtreeSize_[inst.cell];
     out.push_back(std::move(ch));
   }
   return out;
@@ -359,29 +383,20 @@ std::vector<std::pair<std::size_t, std::size_t>> HierarchyView::localPairs(
   return pairsWithin(bboxes, dist);
 }
 
-void HierarchyView::ensureFlatSlots(int v) const {
-  // Caller holds mu_ and the variant's flat view is built. Patches never
-  // resize or reorder flat elements, so once built the map stays valid
-  // for the life of the flat vector and every later lookup is
-  // O(log cells) + O(placements of one cell), not O(flat size).
-  if (flatSlotsBuilt_[v]) return;
-  const Flat& f = *flat_[v];
-  for (std::size_t k = 0; k < f.elements.size(); ++k) {
-    const layout::FlatElement& fe = f.elements[k];
-    flatSlots_[v][{fe.sourceCell, fe.sourceIndex}].push_back(k);
-  }
-  flatSlotsBuilt_[v] = true;
-}
-
 std::vector<std::size_t> HierarchyView::flatSlotsOf(bool includeDeviceGeometry,
                                                     layout::CellId cell,
                                                     std::size_t index) const {
   const int v = includeDeviceGeometry ? 1 : 0;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
-  if (!flatReady_[v].load(std::memory_order_relaxed)) return {};
-  ensureFlatSlots(v);
-  const auto it = flatSlots_[v].find({cell, index});
-  return it == flatSlots_[v].end() ? std::vector<std::size_t>{} : it->second;
+  std::vector<std::size_t> out;
+  if (!flatReady_[v].load(std::memory_order_acquire) ||
+      index >= lib_.cell(cell).elements.size())
+    return out;
+  for (const Placement& p : placementsOf(cell)) {
+    const Node& n = nodes_[p.node];
+    if (v == 1) out.push_back(n.elemBaseAll + index);
+    else if (!n.insideDevice) out.push_back(n.elemBase + index);
+  }
+  return out;
 }
 
 bool HierarchyView::patchElement(layout::CellId cell, std::size_t index) {
@@ -389,30 +404,24 @@ bool HierarchyView::patchElement(layout::CellId cell, std::size_t index) {
   const layout::Cell& c = lib_.cell(cell);
   if (index >= c.elements.size()) return false;
   const layout::Element& newElement = c.elements[index];
-  ensurePlacements();
-  auto pit = placements_.find(cell);
-  // A cell unreachable from this root has no flat entries: nothing to do.
-  if (pit == placements_.end()) return true;
-  std::map<std::string, const geom::Transform*> byPath;
-  for (const Placement& p : pit->second) byPath.emplace(p.path, &p.transform);
 
   for (int v = 0; v < 2; ++v) {
     if (!flatReady_[v].load(std::memory_order_relaxed)) continue;
     Flat& f = *flat_[v];
-    ensureFlatSlots(v);
-    // Validate this variant's matches before mutating it: each needs a
-    // placement transform, and the layer must be unchanged (a layer
-    // change would have to move the entry between per-layer indexes).
+    // Validate this variant's slots before mutating it: each must still
+    // hold this element, and the layer must be unchanged (a layer change
+    // would have to move the entry between per-layer indexes).
     std::vector<std::pair<std::size_t, const geom::Transform*>> hits;
-    const auto sit = flatSlots_[v].find({cell, index});
-    if (sit != flatSlots_[v].end()) {
-      for (const std::size_t k : sit->second) {
-        const layout::FlatElement& fe = f.elements[k];
-        if (fe.element.layer != newElement.layer) return false;
-        auto tp = byPath.find(fe.path);
-        if (tp == byPath.end()) return false;
-        hits.push_back({k, tp->second});
-      }
+    for (const Placement& p : placementsOf(cell)) {
+      const Node& n = nodes_[p.node];
+      if (v == 0 && n.insideDevice) continue;
+      const std::size_t k = (v == 1 ? n.elemBaseAll : n.elemBase) + index;
+      if (k >= f.elements.size()) return false;
+      const layout::FlatElement& fe = f.elements[k];
+      if (fe.sourceCell != cell || fe.sourceIndex != index ||
+          fe.element.layer != newElement.layer)
+        return false;
+      hits.push_back({k, &p.transform});
     }
     const bool haveIndexes = indexesReady_[v].load(std::memory_order_relaxed);
     for (const auto& [k, t] : hits) {
@@ -480,9 +489,9 @@ void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,
   // Warm the library's bbox cache (see children()).
   ensurePlacements();
   std::function<void(layout::CellId, const geom::Transform&,
-                     const std::string&, bool)>
+                     const std::string&, bool, std::size_t)>
       rec = [&](layout::CellId cid, const geom::Transform& ct,
-                const std::string& path, bool insideDevice) {
+                const std::string& path, bool insideDevice, std::size_t node) {
         const layout::Cell& c = lib_.cell(cid);
         const bool deviceHere = insideDevice || c.isDevice();
         for (std::size_t i = 0; i < c.elements.size(); ++i) {
@@ -494,19 +503,23 @@ void HierarchyView::collectWindow(layout::CellId id, const geom::Transform& t,
           we.sourceIndex = i;
           we.path = path;
           we.fromDevice = deviceHere;
+          we.node = node;
           out.push_back(std::move(we));
         }
         int childNo = 0;
+        std::size_t childNode = node + 1;
         for (const layout::Instance& inst : c.instances) {
           const geom::Transform it = geom::compose(inst.transform, ct);
           const Rect cb = it.apply(lib_.cellBBox(inst.cell));
           const std::string childName = instanceName(lib_, inst, childNo);
           ++childNo;
+          const std::size_t thisNode = childNode;
+          childNode += subtreeSize_[inst.cell];
           if (!geom::closedTouch(cb, window)) continue;
-          rec(inst.cell, it, joinPath(path, childName), deviceHere);
+          rec(inst.cell, it, joinPath(path, childName), deviceHere, thisNode);
         }
       };
-  rec(id, t, relPath, false);
+  rec(id, t, relPath, false, 0);
 }
 
 SpatialSet::SpatialSet(const std::vector<Rect>& rects, Coord cellHint)

@@ -36,11 +36,12 @@ namespace dic::engine {
 /// composed in one module match keys composed in another.
 std::string joinPath(const std::string& a, const std::string& b);
 
-/// One placement of a cell under the root: the composed transform and the
-/// dot-notation instance path.
+/// One placement of a cell under the root: the composed transform, the
+/// dot-notation instance path, and the placement's node id.
 struct Placement {
   geom::Transform transform;  ///< composed root-to-instance transform
   std::string path;           ///< dot-notation instance path from root
+  std::size_t node{0};        ///< index into HierarchyView::nodes()
 };
 
 /// A child instance of a cell with the naming and bbox bookkeeping every
@@ -51,6 +52,7 @@ struct ChildRef {
   geom::Transform transform{}; ///< instance transform (parent coordinates)
   geom::Rect bbox{};           ///< child bbox in parent coordinates
   std::string name;            ///< instance name used in hierarchical paths
+  std::size_t nodeOffset{0};   ///< child's node id minus the parent's
 };
 
 /// An element produced by a windowed subtree walk.
@@ -60,6 +62,7 @@ struct WindowElement {
   std::size_t sourceIndex{0};    ///< element index within the source cell
   std::string path;              ///< relPath-prefixed instance path
   bool fromDevice{false};        ///< element lives at or below a device cell
+  std::size_t node{0};           ///< node id relative to the walk's root
 };
 
 /// A read-only view of one hierarchy rooted at a cell.
@@ -88,6 +91,24 @@ class HierarchyView {
 
   /// Child instances of a cell with names and parent-frame bboxes.
   std::vector<ChildRef> children(layout::CellId id) const;
+
+  /// One node of the expanded instance tree: a placement, numbered in
+  /// preorder (the order Library::flatten emits elements). A placement's
+  /// subtree takes the consecutive ids that follow it, so ids compose by
+  /// addition: the node of window element `we` collected under child
+  /// `ch` of placement `p` is p.node + ch.nodeOffset + we.node. Element
+  /// edits (patchElement) never renumber.
+  struct Node {
+    layout::CellId cell{0};
+    std::size_t elemBase{0};     ///< flat(false) index of element 0
+    std::size_t elemBaseAll{0};  ///< flat(true) index of element 0
+    int device{-1};              ///< flat(false).devices index, or -1
+    /// A device or anything below one: no elements in flat(false).
+    bool insideDevice{false};
+  };
+
+  /// The node table, indexed by Placement::node (root = 0).
+  const std::vector<Node>& nodes() const;
 
   /// A cached flat view of the design.
   struct Flat {
@@ -132,7 +153,8 @@ class HierarchyView {
                           std::vector<std::size_t>& out) const;
 
   /// Approximate bytes of everything this view has lazily built so far:
-  /// placements, flat element/device views, grid indexes, port tables.
+  /// placements and the node table, flat element/device views, grid
+  /// indexes, port tables.
   /// Grows as caches build (a fresh view reports only its own footprint)
   /// and is maintained incrementally by the builders, so reading it is a
   /// single atomic load — safe from any thread, even while another
@@ -188,16 +210,16 @@ class HierarchyView {
   /// library. Preconditions: the library already holds the new element,
   /// and the edit changed neither the cell's element count nor the
   /// element's layer. Returns false when the patch cannot be applied
-  /// (bad index, layer changed, or a flat entry's placement path does not
-  /// resolve) — the view may then be partially patched and must be
-  /// discarded and rebuilt by the caller.
+  /// (bad index, layer changed, or a slot no longer holds the element) —
+  /// the view may then be partially patched and must be discarded and
+  /// rebuilt by the caller.
   bool patchElement(layout::CellId cell, std::size_t index);
 
   /// Flat slots (indices into flat(v).elements) holding instances of
-  /// element (cell, index); empty when the variant is unbuilt or the
-  /// cell is unreachable. Served from the same lazily built slot map
-  /// patchElement uses, so the Workspace's pre-edit connectivity probes
-  /// are O(placements of the edited cell), not O(flat size).
+  /// element (cell, index), ascending; empty when the variant is unbuilt
+  /// or the cell is unreachable. Each placement's slot is its node's
+  /// element base plus `index` (flat(false) skips inside-device nodes),
+  /// so this is O(placements of the cell), not O(flat size).
   std::vector<std::size_t> flatSlotsOf(bool includeDeviceGeometry,
                                        layout::CellId cell,
                                        std::size_t index) const;
@@ -214,7 +236,6 @@ class HierarchyView {
   // set (release) only after the cache is fully built under mu_, so the
   // hot path from parallel workers is a single acquire load.
   const Flat& ensureFlat(bool includeDeviceGeometry) const;
-  void ensureFlatSlots(int v) const;
   const LayerIndexes& ensureIndexes(bool includeDeviceGeometry) const;
   void ensurePlacements() const;
   void ensurePorts() const;
@@ -227,16 +248,12 @@ class HierarchyView {
   mutable std::atomic<bool> placementsReady_{false};
   mutable std::vector<layout::CellId> cells_;
   mutable std::map<layout::CellId, std::vector<Placement>> placements_;
+  /// Built with placements_ (same walk, same ready flag).
+  mutable std::vector<Node> nodes_;
+  /// Nodes in one placement's subtree, by CellId (0 if unreachable).
+  mutable std::vector<std::size_t> subtreeSize_;
   mutable std::unique_ptr<Flat> flat_[2];          ///< [includeDeviceGeometry]
   mutable std::atomic<bool> flatReady_[2]{};
-  /// (sourceCell, sourceIndex) -> flat slots, built lazily by the first
-  /// patchElement on each variant (under mu_). Stays valid as long as
-  /// the flat vector itself: patches mutate entries in place, never
-  /// resize or reorder.
-  mutable std::map<std::pair<layout::CellId, std::size_t>,
-                   std::vector<std::size_t>>
-      flatSlots_[2];
-  mutable bool flatSlotsBuilt_[2]{};
   mutable LayerIndexes indexes_[2];
   mutable std::atomic<bool> indexesReady_[2]{};
   mutable std::atomic<bool> portsReady_{false};

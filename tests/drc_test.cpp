@@ -2,9 +2,16 @@
 // behaviours: per-symbol checking, net-aware interactions, device rules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <set>
+
 #include "drc/checker.hpp"
 #include "drc/stages.hpp"
+#include "service/workspace.hpp"
 #include "workload/generator.hpp"
+#include "workload/inject.hpp"
+#include "workload/traffic.hpp"
 
 namespace dic::drc {
 namespace {
@@ -330,6 +337,211 @@ TEST_F(DrcTest, InteractionStatsPruneSameNet) {
   EXPECT_GT(s.candidatePairs, 0u);
   EXPECT_GT(s.sameNetSkipped + s.relatedSkipped, 0u);
   EXPECT_GT(s.noRulePairs, 0u);
+}
+
+// --- Same-named sibling instances -----------------------------------------
+
+/// Two instances of a one-box metal leaf, both named "a", the second `dx`
+/// to the right: two placements that share one path string.
+struct SameNamedTwins {
+  layout::Library lib;
+  layout::CellId top{};
+
+  SameNamedTwins(int metal, geom::Coord L, geom::Coord dx) {
+    layout::Cell leaf;
+    leaf.name = "leaf";
+    leaf.elements.push_back(makeBox(metal, makeRect(0, 0, 10 * L, 3 * L)));
+    const layout::CellId id = lib.addCell(std::move(leaf));
+    layout::Cell p;
+    p.name = "top";
+    p.instances.push_back({id, geom::translate({0, 0}), "a"});
+    p.instances.push_back({id, geom::translate({dx, 0}), "a"});
+    top = lib.addCell(std::move(p));
+  }
+};
+
+/// Sorted rule names of a report.
+std::vector<std::string> ruleNames(const report::Report& rep) {
+  std::vector<std::string> out;
+  for (const report::Violation& v : rep.violations()) out.push_back(v.rule);
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+TEST_F(DrcTest, SameNamedSiblingsKeepSeparateNets) {
+  // 2L apart (metal's diffNet rule is 3L), unlabeled: two nets, so the
+  // pair is a DIFFNET spacing error in both interaction modes.
+  SameNamedTwins fx(nm, L, 12 * L);
+  std::string texts[2];
+  for (const bool hier : {true, false}) {
+    Options o;
+    o.hierarchicalInteractions = hier;
+    Checker c(fx.lib, fx.top, t, o);
+    const report::Report rep = c.checkInteractions(c.generateNetlist());
+    EXPECT_EQ(ruleNames(rep),
+              (std::vector<std::string>{"S.metal.metal.DIFFNET"}))
+        << "hierarchical=" << hier << "\n" << rep.text();
+    texts[hier] = rep.text();
+  }
+  EXPECT_EQ(texts[0], texts[1]);
+}
+
+TEST_F(DrcTest, SameNamedSiblingsGetConnectionChecked) {
+  // Abutting (touching, not skeletally connected): the connection error
+  // belongs to the pair of two different instances, not to one instance
+  // whose connections stage 3 already checked.
+  SameNamedTwins fx(nm, L, 10 * L);
+  std::string texts[2];
+  for (const bool hier : {true, false}) {
+    Options o;
+    o.hierarchicalInteractions = hier;
+    Checker c(fx.lib, fx.top, t, o);
+    const report::Report rep = c.checkInteractions(c.generateNetlist());
+    EXPECT_EQ(ruleNames(rep), (std::vector<std::string>{
+                                  "CONN.metal", "S.metal.metal.DIFFNET"}))
+        << "hierarchical=" << hier << "\n" << rep.text();
+    texts[hier] = rep.text();
+  }
+  EXPECT_EQ(texts[0], texts[1]);
+}
+
+// --- Node-id net lookups vs the path-keyed reference ------------------------
+
+/// The path-string lookups net relations were once resolved by, kept as
+/// the reference for InteractionContext's node-id lookups:
+/// "path#cell#index" -> net, device path -> sorted distinct port nets,
+/// and the set of resistor device paths.
+struct PathKeyedNets {
+  std::map<std::string, int> netByKey;
+  std::map<std::string, std::vector<int>> netsByDevice;
+  std::set<std::string> resistors;
+
+  static std::string key(const std::string& path, layout::CellId cell,
+                         std::size_t index) {
+    return path + "#" + std::to_string(cell) + "#" + std::to_string(index);
+  }
+
+  PathKeyedNets(const engine::HierarchyView& view,
+                const netlist::Netlist& nl) {
+    const engine::HierarchyView::Flat& f = view.flat(false);
+    for (std::size_t i = 0;
+         i < f.elements.size() && i < nl.elementNet.size(); ++i)
+      netByKey[key(f.elements[i].path, f.elements[i].sourceCell,
+                   f.elements[i].sourceIndex)] = nl.elementNet[i];
+    for (const netlist::ExtractedDevice& d : nl.devices) {
+      std::vector<int> nets;
+      for (const auto& [port, net] : d.portNets) nets.push_back(net);
+      std::sort(nets.begin(), nets.end());
+      nets.erase(std::unique(nets.begin(), nets.end()), nets.end());
+      netsByDevice[d.path] = std::move(nets);
+      if (d.cls == tech::DeviceClass::kResistor ||
+          d.cls == tech::DeviceClass::kBipolarResistor)
+        resistors.insert(d.path);
+    }
+  }
+
+  int elementNet(const std::string& path, layout::CellId cell,
+                 std::size_t index) const {
+    const auto it = netByKey.find(key(path, cell, index));
+    return it == netByKey.end() ? -1 : it->second;
+  }
+  const std::vector<int>* deviceNets(const std::string& path) const {
+    const auto it = netsByDevice.find(path);
+    return it == netsByDevice.end() ? nullptr : &it->second;
+  }
+};
+
+/// The netlist test's reference chips: four sizes up to 256 inverters,
+/// inject seeds none/7/42, each plain and after eight element nudges.
+template <class Fn>
+void forEachReferenceChip(const tech::Technology& t, Fn&& fn) {
+  const workload::ChipParams sizes[] = {
+      {1, 1, 2, 2, true}, {1, 2, 2, 3, true}, {2, 2, 2, 4, true},
+      {2, 4, 4, 8, true}};
+  for (const workload::ChipParams& size : sizes)
+    for (const unsigned seed : {0u, 7u, 42u}) {
+      workload::GeneratedChip chip = workload::generateChip(t, size);
+      if (seed) workload::inject(chip, t, workload::InjectionPlan{}, seed);
+      const std::string label = std::to_string(chip.inverterCount()) +
+                                " inverters, inject seed " +
+                                std::to_string(seed);
+      fn(chip.lib, chip.top, label);
+      for (std::uint64_t e = 0; e < 8; ++e) {
+        const EditOp op =
+            workload::makeEditOp(seed * 16 + e, chip.lib, chip.top);
+        if (op.kind == EditOp::Kind::kSetElement)
+          chip.lib.setElement(op.cell, op.index, op.element);
+      }
+      fn(chip.lib, chip.top, label + ", nudged");
+    }
+}
+
+void expectLookupsMatchReference(const layout::Library& lib,
+                                 layout::CellId top,
+                                 const tech::Technology& t,
+                                 const std::string& label) {
+  SCOPED_TRACE(label);
+  Checker c(lib, top, t, {});
+  const netlist::Netlist nl = c.generateNetlist();
+  InteractionStats stats;
+  InteractionContext ctx(c.view(), t, nl, Options{}.metric, stats);
+  ctx.buildMaps();
+  const PathKeyedNets ref(c.view(), nl);
+  std::set<std::string> paths;
+  for (const auto& [cell, places] : c.view().placements())
+    for (const engine::Placement& p : places) {
+      ASSERT_TRUE(paths.insert(p.path).second) << "paths must be unique";
+      for (std::size_t k = 0; k < lib.cell(cell).elements.size(); ++k)
+        EXPECT_EQ(ctx.elementNet(p.node, k), ref.elementNet(p.path, cell, k))
+            << p.path << " #" << k;
+      const std::vector<int>* got = ctx.deviceNets(p.node);
+      const std::vector<int>* want = ref.deviceNets(p.path);
+      ASSERT_EQ(got == nullptr, want == nullptr) << p.path;
+      if (got) {
+        EXPECT_EQ(*got, *want) << p.path;
+      }
+      EXPECT_EQ(ctx.isResistor(p.node), ref.resistors.count(p.path) > 0)
+          << p.path;
+    }
+}
+
+TEST(InteractionRelation, NodeLookupsMatchPathKeyedReference) {
+  const tech::Technology t = tech::nmos();
+  forEachReferenceChip(t, [&](const layout::Library& lib, layout::CellId top,
+                              const std::string& label) {
+    expectLookupsMatchReference(lib, top, t, label);
+  });
+  // The generated chips hold no resistor; Fig. 5b's fixture does.
+  layout::Library lib;
+  const workload::NmosCells cells = workload::installNmosCells(lib, t);
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({cells.resistor, {geom::Orient::kR0, {0, 0}}, "r1"});
+  top.instances.push_back(
+      {cells.inverter, {geom::Orient::kR0, {0, 10000}}, "i1"});
+  const layout::CellId root = lib.addCell(std::move(top));
+  expectLookupsMatchReference(lib, root, t, "resistor + inverter");
+}
+
+TEST(InteractionRelation, ReportsByteIdenticalAcrossPoolSizes) {
+  const tech::Technology t = tech::nmos();
+  forEachReferenceChip(t, [&](const layout::Library& lib, layout::CellId top,
+                              const std::string& label) {
+    for (const bool hier : {true, false})
+      for (const bool nets : {true, false}) {
+        Options o;
+        o.hierarchicalInteractions = hier;
+        o.useNetInformation = nets;
+        o.threads = 1;
+        const std::string serial = Checker(lib, top, t, o).run().text();
+        for (const int threads : {2, 8}) {
+          o.threads = threads;
+          EXPECT_EQ(Checker(lib, top, t, o).run().text(), serial)
+              << label << ", hierarchical=" << hier << ", nets=" << nets
+              << ", threads=" << threads;
+        }
+      }
+  });
 }
 
 }  // namespace

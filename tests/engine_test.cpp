@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <map>
 #include <mutex>
 #include <random>
 #include <thread>
@@ -179,6 +180,223 @@ TEST(HierarchyView, LocalPairsMatchBruteForceOracle) {
           static_cast<double>(dist))
         oracle.push_back({i, j});
   EXPECT_EQ(pairs, oracle);
+}
+
+// --- HierarchyView node ids -------------------------------------------------
+
+/// Brute-force oracle for the node table: every placement's elements sit
+/// at its node's element bases in both flat views (flat(false) skipping
+/// inside-device nodes), device indexes name the placement's flat device,
+/// ids compose by addition through children() and collectWindow(), and
+/// flatSlotsOf() equals a scan of the flat views. Instance paths must be
+/// unique (the oracle keys placements by path).
+void expectNodeTableMatchesFlat(const layout::Library& lib,
+                                layout::CellId top, const std::string& label) {
+  SCOPED_TRACE(label);
+  engine::HierarchyView view(lib, top);
+  const std::vector<engine::HierarchyView::Node>& nodes = view.nodes();
+  EXPECT_GE(view.memoryBytes(),
+            sizeof(view) + nodes.size() * sizeof(engine::HierarchyView::Node))
+      << "the node table is counted in memoryBytes()";
+  const engine::HierarchyView::Flat& f0 = view.flat(false);
+  const engine::HierarchyView::Flat& f1 = view.flat(true);
+  const auto expectSlot = [&](const engine::HierarchyView::Flat& f,
+                              std::size_t k, const std::string& path,
+                              layout::CellId cell, std::size_t index) {
+    ASSERT_LT(k, f.elements.size()) << path << " #" << index;
+    EXPECT_EQ(f.elements[k].path, path);
+    EXPECT_EQ(f.elements[k].sourceCell, cell) << path;
+    EXPECT_EQ(f.elements[k].sourceIndex, index) << path;
+  };
+
+  std::map<std::string, std::size_t> nodeByPath;
+  std::size_t placements = 0, slots0 = 0, slots1 = 0, devices = 0;
+  for (const auto& [cell, places] : view.placements()) {
+    const layout::Cell& c = lib.cell(cell);
+    for (const engine::Placement& p : places) {
+      ++placements;
+      ASSERT_LT(p.node, nodes.size());
+      const engine::HierarchyView::Node& n = nodes[p.node];
+      EXPECT_EQ(n.cell, cell);
+      ASSERT_TRUE(nodeByPath.emplace(p.path, p.node).second) << p.path;
+      for (std::size_t k = 0; k < c.elements.size(); ++k) {
+        expectSlot(f1, n.elemBaseAll + k, p.path, cell, k);
+        ++slots1;
+        if (n.insideDevice) continue;
+        expectSlot(f0, n.elemBase + k, p.path, cell, k);
+        ++slots0;
+      }
+      if (n.device >= 0) {
+        ++devices;
+        ASSERT_LT(static_cast<std::size_t>(n.device), f0.devices.size());
+        EXPECT_EQ(f0.devices[n.device].path, p.path);
+        EXPECT_EQ(f0.devices[n.device].cell, cell);
+      }
+    }
+  }
+  // With unique paths, matching content at every slot plus equal counts
+  // makes (node, index) -> slot a bijection onto each flat view.
+  EXPECT_EQ(placements, nodes.size());
+  EXPECT_EQ(slots0, f0.elements.size());
+  EXPECT_EQ(slots1, f1.elements.size());
+  EXPECT_EQ(devices, f0.devices.size());
+
+  // Inside-device and device flags follow the parent chain.
+  for (const auto& [path, node] : nodeByPath) {
+    const engine::HierarchyView::Node& n = nodes[node];
+    const bool isDevice = lib.cell(n.cell).isDevice();
+    const std::size_t dot = path.rfind('.');
+    const bool parentInside =
+        !path.empty() &&
+        nodes[nodeByPath.at(dot == std::string::npos ? ""
+                                                     : path.substr(0, dot))]
+            .insideDevice;
+    EXPECT_EQ(n.insideDevice, isDevice || parentInside) << path;
+    EXPECT_EQ(n.device >= 0, isDevice && !parentInside) << path;
+  }
+
+  // Additive composition: placement + child offset + window-relative id.
+  const Rect everywhere = makeRect(-(geom::Coord{1} << 40),
+                                   -(geom::Coord{1} << 40),
+                                   geom::Coord{1} << 40, geom::Coord{1} << 40);
+  for (const auto& [cell, places] : view.placements()) {
+    const std::vector<engine::ChildRef> kids = view.children(cell);
+    for (const engine::Placement& p : places)
+      for (const engine::ChildRef& ch : kids) {
+        EXPECT_EQ(nodeByPath.at(engine::joinPath(p.path, ch.name)),
+                  p.node + ch.nodeOffset);
+        std::vector<engine::WindowElement> out;
+        view.collectWindow(ch.cell, ch.transform, everywhere, ch.name, out);
+        for (const engine::WindowElement& we : out) {
+          const std::size_t node = p.node + ch.nodeOffset + we.node;
+          EXPECT_EQ(nodeByPath.at(engine::joinPath(p.path, we.path)), node);
+          EXPECT_EQ(nodes[node].cell, we.sourceCell);
+        }
+      }
+  }
+
+  // flatSlotsOf vs a scan of each flat view.
+  for (const bool v : {false, true}) {
+    std::map<std::pair<layout::CellId, std::size_t>, std::vector<std::size_t>>
+        brute;
+    const engine::HierarchyView::Flat& f = view.flat(v);
+    for (std::size_t k = 0; k < f.elements.size(); ++k)
+      brute[{f.elements[k].sourceCell, f.elements[k].sourceIndex}].push_back(k);
+    for (const layout::CellId cell : view.cells())
+      for (std::size_t k = 0; k < lib.cell(cell).elements.size(); ++k)
+        EXPECT_EQ(view.flatSlotsOf(v, cell, k), (brute[{cell, k}]))
+            << "variant " << v << " cell " << cell << " #" << k;
+  }
+}
+
+/// Devices with sub-instances: a device holding a plain cell and a nested
+/// device, placed directly under top and again under a plain cell, next
+/// to an empty cell and a plain cell placed both inside and outside
+/// devices.
+struct DeviceNest {
+  layout::Library lib;
+  layout::CellId sub, inner, dev, mid, empty, top;
+
+  DeviceNest() {
+    layout::Cell s;
+    s.name = "sub";
+    s.elements.push_back(layout::makeBox(0, makeRect(0, 0, 40, 40)));
+    s.elements.push_back(layout::makeBox(1, makeRect(50, 0, 90, 40)));
+    sub = lib.addCell(std::move(s));
+
+    layout::Cell in;
+    in.name = "inner";
+    in.deviceType = "IN";
+    in.elements.push_back(layout::makeBox(2, makeRect(0, 0, 20, 20)));
+    inner = lib.addCell(std::move(in));
+
+    layout::Cell d;
+    d.name = "dev";
+    d.deviceType = "DEV";
+    d.elements.push_back(layout::makeBox(0, makeRect(0, 0, 100, 100)));
+    d.elements.push_back(layout::makeBox(1, makeRect(0, 120, 100, 140)));
+    d.instances.push_back({sub, {geom::Orient::kR0, {10, 10}}, "s"});
+    d.instances.push_back({inner, {geom::Orient::kR90, {60, 60}}, "in"});
+    dev = lib.addCell(std::move(d));
+
+    layout::Cell e;
+    e.name = "empty";
+    empty = lib.addCell(std::move(e));
+
+    layout::Cell m;
+    m.name = "mid";
+    m.elements.push_back(layout::makeBox(1, makeRect(0, -50, 300, -20)));
+    m.instances.push_back({dev, {geom::Orient::kR0, {0, 0}}, "d"});
+    m.instances.push_back({empty, {geom::Orient::kR0, {0, 0}}, "e"});
+    m.instances.push_back({sub, {geom::Orient::kR180, {400, 0}}, "s"});
+    mid = lib.addCell(std::move(m));
+
+    layout::Cell t;
+    t.name = "top";
+    t.elements.push_back(layout::makeBox(0, makeRect(-500, -500, -400, -400)));
+    t.instances.push_back({dev, {geom::Orient::kR0, {1000, 0}}, "d0"});
+    t.instances.push_back({mid, {geom::Orient::kR0, {0, 1000}}, "m"});
+    t.instances.push_back({sub, {geom::Orient::kR0, {-1000, 0}}, "s"});
+    t.instances.push_back({dev, {geom::Orient::kR270, {3000, 3000}}, "d1"});
+    t.instances.push_back({mid, {geom::Orient::kR90, {5000, 0}}, ""});
+    top = lib.addCell(std::move(t));
+  }
+};
+
+TEST(HierarchyView, NodeIdsMatchFlatViewsWithNestedDevices) {
+  DeviceNest fx;
+  expectNodeTableMatchesFlat(fx.lib, fx.top, "device nest");
+  // Rooted at a device: the root itself is inside a device.
+  expectNodeTableMatchesFlat(fx.lib, fx.dev, "device root");
+  expectNodeTableMatchesFlat(fx.lib, fx.empty, "empty root");
+}
+
+TEST(HierarchyView, NodeIdsMatchFlatViewsOnGeneratedChips) {
+  const tech::Technology t = tech::nmos();
+  const workload::ChipParams sizes[] = {
+      {1, 1, 2, 2, true}, {1, 2, 2, 3, false}, {2, 2, 2, 4, true}};
+  for (const workload::ChipParams& size : sizes)
+    for (const unsigned seed : {0u, 7u, 42u}) {
+      workload::GeneratedChip chip = workload::generateChip(t, size);
+      if (seed) workload::inject(chip, t, workload::InjectionPlan{}, seed);
+      expectNodeTableMatchesFlat(
+          chip.lib, chip.top,
+          std::to_string(chip.inverterCount()) + " inverters, seed " +
+              std::to_string(seed));
+    }
+}
+
+TEST(HierarchyView, NodeIdsPatchSlotsInsideAndOutsideDevices) {
+  // "sub" is placed inside devices (flat(true) only) and outside them
+  // (both views): a patch must land on exactly its own slots, leaving
+  // both views equal to a fresh build of the edited library.
+  DeviceNest fx;
+  engine::HierarchyView view(fx.lib, fx.top);
+  EXPECT_TRUE(view.flatSlotsOf(false, fx.sub, 0).empty())
+      << "unbuilt variants have no slots";
+  view.prepare(false);
+  view.prepare(true);
+  fx.lib.setElement(fx.sub, 1, layout::makeBox(1, makeRect(55, 5, 95, 45)));
+  ASSERT_TRUE(view.patchElement(fx.sub, 1));
+  engine::HierarchyView fresh(fx.lib, fx.top);
+  for (const bool v : {false, true}) {
+    const engine::HierarchyView::Flat& a = view.flat(v);
+    const engine::HierarchyView::Flat& b = fresh.flat(v);
+    ASSERT_EQ(a.elements.size(), b.elements.size());
+    for (std::size_t k = 0; k < a.elements.size(); ++k) {
+      EXPECT_EQ(a.elements[k].path, b.elements[k].path);
+      EXPECT_EQ(a.bboxes[k], b.bboxes[k]) << "variant " << v << " slot " << k;
+    }
+    // The grid indexes moved with the slots.
+    for (const std::size_t k : view.flatSlotsOf(v, fx.sub, 1)) {
+      const std::vector<std::size_t> near =
+          view.flatCandidates(v, 1, a.bboxes[k]);
+      EXPECT_NE(std::find(near.begin(), near.end(), k), near.end());
+    }
+  }
+  // A layer change cannot be patched in place.
+  fx.lib.setElement(fx.sub, 1, layout::makeBox(2, makeRect(55, 5, 95, 45)));
+  EXPECT_FALSE(view.patchElement(fx.sub, 1));
 }
 
 TEST(SpatialSet, CandidatesNeverMiss) {

@@ -420,6 +420,47 @@ TEST(Incremental, EditEmptyCellAndStructuralFallback) {
   step(rm, "remove-back-to-empty");
 }
 
+TEST(Incremental, SameNamedSiblingsPatchTheirOwnSlots) {
+  // Two instances of one leaf, both named "a", overlapping: one net.
+  // Shrinking the leaf's box separates them, so a patched view must move
+  // each flat slot by its own placement -- the served netlist and report
+  // must equal a cold rebuild's (two nets, one spacing error).
+  const tech::Technology t = tech::nmos();
+  const int metal = *t.layerByName("metal");
+  const geom::Coord L = t.lambda();
+  layout::Library lib;
+  layout::Cell leaf;
+  leaf.name = "leaf";
+  leaf.elements.push_back(
+      layout::makeBox(metal, geom::makeRect(0, 0, 10 * L, 3 * L)));
+  const layout::CellId leafId = lib.addCell(std::move(leaf));
+  layout::Cell top;
+  top.name = "top";
+  top.instances.push_back({leafId, geom::translate({0, 0}), "a"});
+  top.instances.push_back({leafId, geom::translate({7 * L, 0}), "a"});
+  const layout::CellId topId = lib.addCell(std::move(top));
+
+  Workspace served(lib, t, {.threads = 1});
+  Workspace oracle(lib, t, {.threads = 1});
+  const CheckResult before = served.run(CheckRequest::drc(topId));
+  ASSERT_TRUE(before.ok()) << before.error;
+  ASSERT_TRUE(before.netlist);
+  EXPECT_EQ(before.netlist->nets.size(), 1u);
+
+  const EditOp edit = EditOp::setElement(
+      leafId, 0, layout::makeBox(metal, geom::makeRect(0, 0, 6 * L, 3 * L)));
+  CheckRequest req = CheckRequest::drc(topId);
+  req.edits.push_back(edit);
+  const CheckResult inc = served.run(req);
+  EXPECT_TRUE(inc.viewCacheHit) << "the edit takes the in-place patch";
+  const CheckResult cold = oracleCheck(oracle, topId, edit);
+  ASSERT_TRUE(cold.netlist);
+  EXPECT_EQ(cold.netlist->nets.size(), 2u);
+  EXPECT_EQ(cold.report.count(report::Category::kSpacing), 1u)
+      << cold.report.text();
+  expectSameResult(inc, cold, "same-named siblings");
+}
+
 TEST(Incremental, EditThenDropLibrary) {
   server::ServerOptions opts;
   opts.shards = 2;
