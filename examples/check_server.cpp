@@ -8,7 +8,7 @@
 //   * one library dropped mid-traffic (its in-flight work completes,
 //     later requests report LibraryNotFound),
 //   * the ServerStats snapshot: per-shard queue depth, served count,
-//     p50/p95 latency, queue-wait vs service split, cache bytes,
+//     p50/p95 latency, cache bytes,
 //   * two-phase shutdown draining everything that was accepted.
 //
 //   $ ./examples/check_server [shards] [threadsPerShard]
@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
   server::ServerOptions opts;
   opts.shards = argc > 1 ? std::atoi(argv[1]) : 2;
   opts.threadsPerShard = argc > 2 ? std::atoi(argv[2]) : 2;
-  opts.queueCapacity = 64;
+  opts.queue.capacity = 64;
   server::Server srv(opts);
 
   const tech::Technology t = tech::nmos();
@@ -42,9 +42,8 @@ int main(int argc, char** argv) {
     tops.push_back(chip.top);
     const std::string id = workload::libraryName(l);
     srv.addLibrary(id, std::move(chip.lib), t);
-    const server::Placement p = srv.placementOf(id);
-    std::printf("registered %-5s -> shard %d (policy %s)\n", id.c_str(),
-                p.owner, toString(p.policy).c_str());
+    std::printf("registered %-5s -> shard %d\n", id.c_str(),
+                srv.shardOf(id));
   }
 
   // A deterministic mixed trace, four closed-loop clients.
@@ -92,15 +91,13 @@ int main(int argc, char** argv) {
   srv.shutdown();  // two-phase: intake closed, queues drained
 
   const server::ServerStats st = srv.stats();
-  std::printf("\n%-6s %5s %6s %7s %7s %9s %9s %9s %11s\n", "shard", "libs",
-              "queue", "served", "reject", "p50-ms", "p95-ms", "wait-ms",
-              "cache-KiB");
+  std::printf("\n%-6s %5s %6s %7s %7s %9s %9s %11s\n", "shard", "libs",
+              "queue", "served", "reject", "p50-ms", "p95-ms", "cache-KiB");
   for (std::size_t s = 0; s < st.shards.size(); ++s) {
     const server::ShardStats& sh = st.shards[s];
-    std::printf("%-6zu %5zu %6zu %7zu %7zu %9.2f %9.2f %9.2f %11.1f\n", s,
+    std::printf("%-6zu %5zu %6zu %7zu %7zu %9.2f %9.2f %11.1f\n", s,
                 sh.libraries, sh.queueDepth, sh.served, sh.rejected,
                 sh.p50Seconds * 1e3, sh.p95Seconds * 1e3,
-                sh.meanQueueWaitSeconds * 1e3,
                 static_cast<double>(sh.cacheBytes) / 1024.0);
   }
   std::printf("\ntotal: %zu served, %zu cache bytes across %d shard(s)\n",

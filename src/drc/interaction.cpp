@@ -107,14 +107,12 @@ namespace {
 
 /// Net relation of a shape pair in a specific placement context (the
 /// placement's node id plus each shape's relative node is the shape's
-/// node). Returns nullopt for intra-device pairs (stage 2's business).
-std::optional<tech::NetRelation> relationOf(const InteractionContext& ctx,
-                                            const Shape& a, const Shape& b,
-                                            std::size_t placementNode) {
+/// node). Intra-device pairs never get here (stage 2's business).
+tech::NetRelation relationOf(const InteractionContext& ctx, const Shape& a,
+                             const Shape& b, std::size_t placementNode) {
   const std::size_t na = placementNode + a.node;
   const std::size_t nb = placementNode + b.node;
   if (a.deviceInternal && b.deviceInternal) {
-    if (na == nb) return std::nullopt;  // same device instance
     const auto* da = ctx.deviceNets(na);
     const auto* db = ctx.deviceNets(nb);
     if (da && db) {
@@ -186,17 +184,18 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
     return;
   }
 
-  const auto rel = ctx.useNets
-                       ? relationOf(ctx, a, b, placementNode)
-                       : std::optional<tech::NetRelation>(
-                             tech::NetRelation::kUnknown);
-  if (!rel) return;  // intra-device
+  // Two shapes of one device instance are stage 2's business, with or
+  // without net information.
+  if (a.deviceInternal && b.deviceInternal && a.node == b.node) return;
+  const tech::NetRelation rel = ctx.useNets
+                                    ? relationOf(ctx, a, b, placementNode)
+                                    : tech::NetRelation::kUnknown;
 
   if (g.sameLayer && g.touching) {
     ++stats.connectionChecks;
     const bool portLanding =
         (a.deviceInternal != b.deviceInternal) &&
-        *rel == tech::NetRelation::kRelated;
+        rel == tech::NetRelation::kRelated;
     if (!g.skeletallyConnected && !portLanding && !skipConnectionCheck) {
       report::Violation v;
       v.category = report::Category::kConnection;
@@ -217,11 +216,11 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
     ++stats.noRulePairs;
     return;
   }
-  const Coord s = rule.forRelation(*rel);
+  const Coord s = rule.forRelation(rel);
   if (s == 0) {
-    if (*rel == tech::NetRelation::kSameNet)
+    if (rel == tech::NetRelation::kSameNet)
       ++stats.sameNetSkipped;
-    else if (*rel == tech::NetRelation::kRelated)
+    else if (rel == tech::NetRelation::kRelated)
       ++stats.relatedSkipped;
     return;
   }
@@ -234,9 +233,9 @@ void evaluatePair(const InteractionContext& ctx, InteractionStats& stats,
   report::Violation v;
   v.category = report::Category::kSpacing;
   v.rule = "S." + ctx.tech.layer(la).name + "." + ctx.tech.layer(lb).name +
-           (*rel == tech::NetRelation::kSameNet
+           (rel == tech::NetRelation::kSameNet
                 ? ".SAMENET"
-                : *rel == tech::NetRelation::kRelated ? ".RELATED"
+                : rel == tech::NetRelation::kRelated ? ".RELATED"
                                                       : ".DIFFNET");
   const Coord pad = static_cast<Coord>(std::ceil(*g.distance)) + 1;
   v.where = placement.apply(

@@ -27,7 +27,7 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
   std::thread readerThread;
   std::thread writerThread;
 
-  /// One unit of writer work: either a pre-framed buffer (stats,
+  /// One unit of writer work: either a pre-framed buffer (trace, metrics,
   /// protocol error) or a result the writer serializes chunk by chunk,
   /// so a huge report is never materialized as one frame buffer.
   struct Outgoing {
@@ -134,8 +134,6 @@ struct Listener::Session : std::enable_shared_from_this<Listener::Session> {
                         [self, id = h.requestId](CheckResult r) {
                           self->enqueueResult(id, std::move(r));
                         });
-      } else if (h.type == FrameType::kStatsRequest) {
-        enqueueRaw(encodeStatsFrame(h.requestId, srv.stats()));
       } else if (h.type == FrameType::kTraceRequest) {
         std::uint64_t traceId = 0;
         if (!decodeTraceRequestPayload(payload.data(), payload.size(),

@@ -2,8 +2,9 @@
 /// \file listener.hpp
 /// The TCP front door for dic::server::Server: a net::Listener accepts
 /// connections and runs one Session per connection — a reader thread
-/// decoding kCheck/kStatsRequest frames into Server::submitAsync, and a
-/// writer thread streaming completed results back in completion order.
+/// decoding kCheck frames into Server::submitAsync (and answering trace
+/// and metrics requests), and a writer thread streaming completed
+/// results back in completion order.
 /// Many request ids multiplex over one socket; responses carry the id
 /// back, so clients correlate out-of-order completions without one
 /// connection per request.

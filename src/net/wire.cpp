@@ -212,12 +212,21 @@ bool parseHeader(const std::uint8_t* buf, FrameHeader& out, std::string* err) {
   out.payloadLen = rd.u32();
   if (out.magic != kMagic) return fail(err, "bad magic");
   if (out.version != kVersion) return fail(err, "unsupported version");
-  const bool known =
-      (type >= static_cast<std::uint8_t>(FrameType::kCheck) &&
-       type <= static_cast<std::uint8_t>(FrameType::kMetricsRequest)) ||
-      (type >= static_cast<std::uint8_t>(FrameType::kResult) &&
-       type <= static_cast<std::uint8_t>(FrameType::kMetrics));
-  if (!known) return fail(err, "unknown frame type");
+  switch (static_cast<FrameType>(type)) {
+    case FrameType::kCheck:
+    case FrameType::kTraceRequest:
+    case FrameType::kMetricsRequest:
+    case FrameType::kResult:
+    case FrameType::kReportPart:
+    case FrameType::kReportEnd:
+    case FrameType::kRejected:
+    case FrameType::kError:
+    case FrameType::kTrace:
+    case FrameType::kMetrics:
+      break;
+    default:
+      return fail(err, "unknown frame type");
+  }
   out.type = static_cast<FrameType>(type);
   if (out.flags != 0) return fail(err, "nonzero reserved flags");
   if (out.payloadLen > kMaxPayload) return fail(err, "oversized payload length");
@@ -326,12 +335,6 @@ bool decodeCheckPayload(const std::uint8_t* p, std::size_t n,
   if (!rd.ok) return fail(err, "truncated check payload");
   if (rd.n != 0) return fail(err, "trailing bytes in check payload");
   return true;
-}
-
-std::vector<std::uint8_t> encodeStatsRequestFrame(std::uint64_t requestId) {
-  std::vector<std::uint8_t> frame;
-  appendHeader(frame, FrameType::kStatsRequest, requestId, 0);
-  return frame;
 }
 
 std::vector<std::uint8_t> encodeTraceRequestFrame(std::uint64_t requestId,
@@ -559,101 +562,6 @@ ResultAssembler::Feed ResultAssembler::feed(const FrameHeader& h,
       fail(err, "unexpected frame type for result assembly");
       return Feed::kError;
   }
-}
-
-// --- stats -----------------------------------------------------------------
-
-std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
-                                           const server::ServerStats& stats) {
-  std::vector<std::uint8_t> payload;
-  putU32(payload, static_cast<std::uint32_t>(stats.shards.size()));
-  for (const server::ShardStats& s : stats.shards) {
-    putU64(payload, s.libraries);
-    putU64(payload, s.replicas);
-    putU64(payload, s.queueDepth);
-    putU64(payload, s.submitted);
-    putU64(payload, s.served);
-    putU64(payload, s.rejected);
-    putU64(payload, s.failed);
-    putF64(payload, s.p50Seconds);
-    putF64(payload, s.p95Seconds);
-    putF64(payload, s.meanQueueWaitSeconds);
-    putF64(payload, s.meanServiceSeconds);
-    putU64(payload, s.cacheBytes);
-    putU32(payload, static_cast<std::uint32_t>(s.heat.size()));
-    for (const server::LibraryHeat& h : s.heat) {
-      putStr(payload, h.id);
-      putU64(payload, h.served);
-      putU64(payload, h.rejected);
-      putU64(payload, h.bytes);
-      putF64(payload, h.p95Seconds);
-      // Placement (v3): owner shard as a two's-complement u32, then the
-      // fresh replica shard list.
-      putU32(payload, static_cast<std::uint32_t>(h.ownerShard));
-      putU32(payload, static_cast<std::uint32_t>(h.replicaShards.size()));
-      for (const int r : h.replicaShards)
-        putU32(payload, static_cast<std::uint32_t>(r));
-    }
-  }
-  std::vector<std::uint8_t> frame;
-  frame.reserve(kHeaderSize + payload.size());
-  appendHeader(frame, FrameType::kStats, requestId,
-               static_cast<std::uint32_t>(payload.size()));
-  frame.insert(frame.end(), payload.begin(), payload.end());
-  return frame;
-}
-
-bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
-                        server::ServerStats& out, std::string* err) {
-  Reader rd{p, n};
-  const std::uint32_t count = rd.u32();
-  constexpr std::size_t kShardBytes = 8 * 8 + 4 * 8 + 4;
-  // One encoded LibraryHeat: empty-id string (4) + three u64 + one f64
-  // + owner shard (4) + empty replica list (4).
-  constexpr std::size_t kMinHeatBytes = 4 + 3 * 8 + 8 + 4 + 4;
-  if (!rd.ok || rd.n / kShardBytes < count)
-    return fail(err, "bad shard count");
-  out.shards.clear();
-  out.shards.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    server::ShardStats s;
-    s.libraries = rd.u64();
-    s.replicas = rd.u64();
-    s.queueDepth = rd.u64();
-    s.submitted = rd.u64();
-    s.served = rd.u64();
-    s.rejected = rd.u64();
-    s.failed = rd.u64();
-    s.p50Seconds = rd.f64();
-    s.p95Seconds = rd.f64();
-    s.meanQueueWaitSeconds = rd.f64();
-    s.meanServiceSeconds = rd.f64();
-    s.cacheBytes = rd.u64();
-    const std::uint32_t nHeat = rd.u32();
-    if (!rd.ok || rd.n / kMinHeatBytes < nHeat)
-      return fail(err, "bad heat count");
-    s.heat.reserve(nHeat);
-    for (std::uint32_t j = 0; j < nHeat; ++j) {
-      server::LibraryHeat h;
-      h.id = rd.str();
-      h.served = rd.u64();
-      h.rejected = rd.u64();
-      h.bytes = rd.u64();
-      h.p95Seconds = rd.f64();
-      h.ownerShard = static_cast<std::int32_t>(rd.u32());
-      const std::uint32_t nRep = rd.u32();
-      if (!rd.ok || rd.n / 4 < nRep)
-        return fail(err, "bad replica count");
-      h.replicaShards.reserve(nRep);
-      for (std::uint32_t k = 0; k < nRep; ++k)
-        h.replicaShards.push_back(static_cast<std::int32_t>(rd.u32()));
-      s.heat.push_back(std::move(h));
-    }
-    out.shards.push_back(std::move(s));
-  }
-  if (!rd.ok) return fail(err, "truncated stats payload");
-  if (rd.n != 0) return fail(err, "trailing bytes in stats payload");
-  return true;
 }
 
 // --- trace -----------------------------------------------------------------

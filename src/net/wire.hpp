@@ -50,11 +50,11 @@ inline constexpr std::uint32_t kMagic = 0x4E434944u;
 /// different version is closed at the first frame (no negotiation —
 /// clients and servers deploy together in this tier). Version 2 added
 /// the kTraceRequest/kTrace and kMetricsRequest/kMetrics frame pairs and
-/// per-library heat in the kStats payload. Version 3 added placement to
-/// the heat table (per-shard replica Workspace count, and each heat
-/// entry's owner shard + fresh replica shards) when the server grew
-/// hot-library replication.
-inline constexpr std::uint8_t kVersion = 3;
+/// per-library heat in the stats payload. Version 3 added placement to
+/// the heat table. Version 4 removed the stats request/response pair
+/// (types 2 and 20, now unknown): ServerStats is built client-side
+/// from the kMetrics snapshot (server::statsFromMetrics).
+inline constexpr std::uint8_t kVersion = 4;
 /// Bytes in the fixed frame header.
 inline constexpr std::size_t kHeaderSize = 20;
 /// Hard cap on a frame's declared payload length. A header declaring
@@ -69,14 +69,12 @@ inline constexpr std::size_t kDefaultReportChunk = 1024;
 /// (server to client) start at 16.
 enum class FrameType : std::uint8_t {
   kCheck = 1,           ///< payload: library id + CheckRequest
-  kStatsRequest = 2,    ///< payload: empty; asks for a ServerStats snapshot
   kTraceRequest = 3,    ///< payload: u64 trace id; asks for that trace's spans
   kMetricsRequest = 4,  ///< payload: empty; asks for a MetricsSnapshot
   kResult = 16,         ///< payload: result envelope + full violation list
   kReportPart = 17,     ///< payload: a slice of a streamed violation list
   kReportEnd = 18,      ///< payload: result envelope closing a stream
   kRejected = 19,       ///< payload: result envelope; backpressure turndown
-  kStats = 20,          ///< payload: ServerStats snapshot
   kError = 21,          ///< payload: message; protocol-level failure
   kTrace = 22,          ///< payload: one trace's SpanRecord list
   kMetrics = 23,        ///< payload: MetricsSnapshot
@@ -119,9 +117,6 @@ bool decodeCheckPayload(const std::uint8_t* p, std::size_t n,
                         std::string& library, CheckRequest& req,
                         std::string* err = nullptr);
 
-/// One complete kStatsRequest frame (empty payload).
-std::vector<std::uint8_t> encodeStatsRequestFrame(std::uint64_t requestId);
-
 /// One complete kTraceRequest frame. `traceId` names the trace to fetch —
 /// for TCP-served checks that is the request id the client chose for the
 /// kCheck frame (the session roots the request's trace with it).
@@ -137,14 +132,6 @@ bool decodeTraceRequestPayload(const std::uint8_t* p, std::size_t n,
 std::vector<std::uint8_t> encodeMetricsRequestFrame(std::uint64_t requestId);
 
 // --- response side ---------------------------------------------------------
-
-/// One complete kStats frame.
-std::vector<std::uint8_t> encodeStatsFrame(std::uint64_t requestId,
-                                           const server::ServerStats& stats);
-
-/// Decode a kStats payload.
-bool decodeStatsPayload(const std::uint8_t* p, std::size_t n,
-                        server::ServerStats& out, std::string* err = nullptr);
 
 /// One complete kTrace frame: the trace id followed by its spans (the
 /// server's Tracer::collect output, arrival order preserved). Span names

@@ -1,6 +1,7 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace dic {
@@ -38,6 +39,20 @@ std::uint64_t MetricsSnapshot::counterValue(const std::string& name) const {
     if (m.name == name && m.kind == MetricValue::Kind::kCounter)
       return m.counter;
   return 0;
+}
+
+double MetricValue::quantile(double q) const {
+  std::uint64_t total = 0;
+  for (const std::uint64_t c : buckets) total += c;
+  if (total == 0 || bounds.empty()) return 0;
+  const auto rank = std::max<std::uint64_t>(
+      1, static_cast<std::uint64_t>(std::ceil(q * static_cast<double>(total))));
+  std::uint64_t seen = 0;
+  for (std::size_t i = 0; i < bounds.size() && i < buckets.size(); ++i) {
+    seen += buckets[i];
+    if (seen >= rank) return bounds[i];
+  }
+  return bounds.back();
 }
 
 std::vector<double> defaultLatencyBounds() {

@@ -91,6 +91,12 @@ struct MetricValue {
   std::int64_t gauge{0};       ///< Kind::kGauge value
   std::vector<double> bounds;  ///< Kind::kHistogram upper edges (B)
   std::vector<std::uint64_t> buckets;  ///< Kind::kHistogram counts (B+1)
+
+  /// Kind::kHistogram: the upper edge of the bucket holding the
+  /// `q`-quantile (0 < q <= 1) of the observations — an upper bound on
+  /// the true quantile. Observations past the last edge read as that
+  /// edge; 0 when the histogram is empty.
+  double quantile(double q) const;
 };
 
 /// A full registry capture, sorted by metric name (deterministic — the

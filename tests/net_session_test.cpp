@@ -11,9 +11,12 @@
 #include <chrono>
 #include <functional>
 #include <future>
+#include <memory>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "net/client.hpp"
@@ -171,8 +174,8 @@ TEST(NetSession, BackpressureRejectMapsToRejectedFrame) {
   server::ServerOptions sopts;
   sopts.shards = 1;
   sopts.threadsPerShard = 1;
-  sopts.queueCapacity = 1;
-  sopts.overflow = server::OverflowPolicy::kReject;
+  sopts.queue.capacity = 1;
+  sopts.queue.overflow = server::OverflowPolicy::kReject;
   server::Server srv(sopts);
   const layout::CellId top = addFleet(srv, 1);
   net::Listener listener(srv);
@@ -349,6 +352,67 @@ TEST(NetSession, StatsOverWire) {
   std::size_t libs = 0;
   for (const server::ShardStats& s : wire.shards) libs += s.libraries;
   EXPECT_EQ(libs, 2u);
+
+  listener.shutdown();
+  srv.shutdown();
+}
+
+/// Pipelined edit-then-read traffic over one TCP connection: many
+/// (edit, read, read) triples across several libraries go out without
+/// awaiting anything, so a library's reads sit on the wire and in the
+/// shard queue behind its own unapplied edit. Per-library queue order
+/// (docs/server.md, "Edit routing") must hold: every reply equals a
+/// single-threaded Workspace oracle that applied the same requests in
+/// submission order.
+TEST(NetSession, PipelinedEditThenReadMatchesSequentialOracle) {
+  server::ServerOptions sopts;
+  sopts.shards = 4;
+  sopts.threadsPerShard = 1;
+  server::Server srv(sopts);
+  constexpr std::size_t kLibraries = 4, kRounds = 8;
+  const layout::CellId top = addFleet(srv, kLibraries);
+  const tech::Technology t = tech::nmos();
+  std::vector<std::unique_ptr<Workspace>> oracle;
+  for (std::size_t l = 0; l < kLibraries; ++l)
+    oracle.push_back(std::make_unique<Workspace>(workload::fleetChip(t).lib,
+                                                 t, WorkspaceOptions{1}));
+  net::Listener listener(srv);
+  net::ClientOptions copts;
+  copts.port = listener.port();
+  net::Client client(copts);
+
+  struct Sent {
+    std::size_t library;
+    std::string want;
+    std::future<CheckResult> got;
+  };
+  std::vector<Sent> sent;
+  std::vector<std::set<std::string>> distinctDrc(kLibraries);
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    for (std::size_t l = 0; l < kLibraries; ++l) {
+      CheckRequest edit = CheckRequest::drc(top);
+      edit.edits.push_back(workload::makeEditOp(
+          1000 * l + r, std::as_const(*oracle[l]).library(), top));
+      for (const CheckRequest& req :
+           {edit, CheckRequest::drc(top), CheckRequest::ercCheck(top)}) {
+        const CheckResult want = oracle[l]->run(req);
+        ASSERT_TRUE(want.ok()) << want.error;
+        if (req.kind == CheckKind::kHierarchicalDrc)
+          distinctDrc[l].insert(want.report.text());
+        sent.push_back({l, want.report.text(),
+                        client.submit(workload::libraryName(l), req)});
+      }
+    }
+  }
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    const CheckResult r = sent[i].got.get();
+    ASSERT_TRUE(r.ok()) << "request " << i << ": " << r.error;
+    EXPECT_EQ(r.report.text(), sent[i].want)
+        << "request " << i << " on " << workload::libraryName(sent[i].library);
+  }
+  // The edits must move the reports, or an overtaking read would pass.
+  for (std::size_t l = 0; l < kLibraries; ++l)
+    EXPECT_GT(distinctDrc[l].size(), 1u) << workload::libraryName(l);
 
   listener.shutdown();
   srv.shutdown();

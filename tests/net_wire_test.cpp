@@ -173,71 +173,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   EXPECT_EQ(got.edits[1].instance.name, "u42");
 }
 
-TEST(NetWire, StatsRoundTrip) {
-  server::ServerStats st;
-  for (int s = 0; s < 3; ++s) {
-    server::ShardStats sh;
-    sh.libraries = static_cast<std::size_t>(s + 1);
-    sh.replicas = static_cast<std::size_t>(2 - s);
-    sh.queueDepth = static_cast<std::size_t>(s * 7);
-    sh.submitted = 100u + static_cast<std::size_t>(s);
-    sh.served = 90u + static_cast<std::size_t>(s);
-    sh.rejected = static_cast<std::size_t>(s);
-    sh.failed = 2;
-    sh.p50Seconds = 0.001 * (s + 1);
-    sh.p95Seconds = 0.005 * (s + 1);
-    sh.meanQueueWaitSeconds = 0.0002;
-    sh.meanServiceSeconds = 0.0042;
-    sh.cacheBytes = 1u << (10 + s);
-    for (int l = 0; l < s; ++l) {  // shard 0: none; shard 2: two
-      server::LibraryHeat heat;
-      heat.id = "lib" + std::to_string(l);
-      heat.served = 10u * static_cast<std::size_t>(l + 1);
-      heat.rejected = static_cast<std::size_t>(l);
-      heat.bytes = 1000u + static_cast<std::uint64_t>(l);
-      heat.p95Seconds = 0.003 * (l + 1);
-      heat.ownerShard = s;
-      if (l == 1) heat.replicaShards = {0, 2};  // one replicated library
-      sh.heat.push_back(heat);
-    }
-    st.shards.push_back(sh);
-  }
-  const std::vector<std::uint8_t> frame = encodeStatsFrame(5, st);
-  const std::uint8_t* p = nullptr;
-  std::size_t n = 0;
-  const FrameHeader h = splitFrame(frame, &p, &n);
-  EXPECT_EQ(h.type, FrameType::kStats);
-  server::ServerStats got;
-  std::string err;
-  ASSERT_TRUE(decodeStatsPayload(p, n, got, &err)) << err;
-  ASSERT_EQ(got.shards.size(), 3u);
-  for (std::size_t s = 0; s < 3; ++s) {
-    EXPECT_EQ(got.shards[s].libraries, st.shards[s].libraries);
-    EXPECT_EQ(got.shards[s].replicas, st.shards[s].replicas);
-    EXPECT_EQ(got.shards[s].queueDepth, st.shards[s].queueDepth);
-    EXPECT_EQ(got.shards[s].submitted, st.shards[s].submitted);
-    EXPECT_EQ(got.shards[s].served, st.shards[s].served);
-    EXPECT_EQ(got.shards[s].rejected, st.shards[s].rejected);
-    EXPECT_EQ(got.shards[s].failed, st.shards[s].failed);
-    EXPECT_DOUBLE_EQ(got.shards[s].p50Seconds, st.shards[s].p50Seconds);
-    EXPECT_DOUBLE_EQ(got.shards[s].p95Seconds, st.shards[s].p95Seconds);
-    EXPECT_EQ(got.shards[s].cacheBytes, st.shards[s].cacheBytes);
-    ASSERT_EQ(got.shards[s].heat.size(), st.shards[s].heat.size());
-    for (std::size_t l = 0; l < got.shards[s].heat.size(); ++l) {
-      EXPECT_EQ(got.shards[s].heat[l].id, st.shards[s].heat[l].id);
-      EXPECT_EQ(got.shards[s].heat[l].served, st.shards[s].heat[l].served);
-      EXPECT_EQ(got.shards[s].heat[l].rejected, st.shards[s].heat[l].rejected);
-      EXPECT_EQ(got.shards[s].heat[l].bytes, st.shards[s].heat[l].bytes);
-      EXPECT_DOUBLE_EQ(got.shards[s].heat[l].p95Seconds,
-                       st.shards[s].heat[l].p95Seconds);
-      EXPECT_EQ(got.shards[s].heat[l].ownerShard,
-                st.shards[s].heat[l].ownerShard);
-      EXPECT_EQ(got.shards[s].heat[l].replicaShards,
-                st.shards[s].heat[l].replicaShards);
-    }
-  }
-}
-
 TEST(NetWire, ErrorFrameRoundTrip) {
   for (const std::string& msg : {std::string("bad magic"), std::string()}) {
     const std::vector<std::uint8_t> frame = encodeErrorFrame(8, msg);
@@ -340,6 +275,8 @@ TEST(NetWire, HeaderRejectsBadMagicVersionFlagsType) {
   corrupt(5, 5);                 // gap between requests and responses
   corrupt(5, 15);                // still in the gap
   corrupt(5, 24);                // past kMetrics
+  corrupt(5, 2);                 // stats request, removed in version 4
+  corrupt(5, 20);                // stats response, removed in version 4
   corrupt(6, 1);                 // reserved flags must be zero
 
   // The version-2 frame types are all known to the parser.

@@ -306,6 +306,26 @@ TEST(Metrics, HistogramBucketEdges) {
   ASSERT_EQ(h.bounds().size(), 3u);
 }
 
+TEST(Metrics, HistogramQuantileReadsBucketUpperEdge) {
+  obs::MetricValue empty;
+  empty.kind = obs::MetricValue::Kind::kHistogram;
+  empty.bounds = {1.0, 2.0, 4.0};
+  empty.buckets = {0, 0, 0, 0};
+  EXPECT_EQ(empty.quantile(0.5), 0.0);
+
+  obs::Registry reg;
+  obs::Histogram& h = reg.histogram("lat", {1.0, 2.0, 4.0});
+  for (const double v : {0.5, 0.7, 1.5, 3.0, 9.0}) h.observe(v);
+  const obs::MetricsSnapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.metrics.size(), 1u);
+  const obs::MetricValue& m = snap.metrics[0];
+  EXPECT_EQ(m.quantile(0.2), 1.0);   // rank 1 of 5: first bucket
+  EXPECT_EQ(m.quantile(0.4), 1.0);   // rank 2: still the first bucket
+  EXPECT_EQ(m.quantile(0.5), 2.0);   // rank 3 (ceil 2.5): second bucket
+  EXPECT_EQ(m.quantile(0.8), 4.0);   // rank 4
+  EXPECT_EQ(m.quantile(1.0), 4.0);   // overflow reads as the last edge
+}
+
 TEST(Metrics, RegistryIsTypedAndIdempotent) {
   obs::Registry reg;
   obs::Counter& c = reg.counter("req.count");
