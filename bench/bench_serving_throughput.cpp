@@ -1,8 +1,8 @@
 // Serving throughput -- the serving trajectory: a dic::Workspace
 // handling repeated and mixed check traffic, measured in
 // requests/second. Cold vs warm isolates what the per-(root, revision)
-// view/netlist cache buys; serial vs pooled isolates what batch dispatch
-// over the shared executor buys on top; and the multi-shard sweep drives
+// view/netlist cache buys; the pool-size sweep isolates what the shared
+// executor buys inside each request on top; and the multi-shard sweep drives
 // a dic::server::Server fleet (shards x threads x open/closed-loop
 // arrivals) with the workload traffic generator, reporting per-shard
 // req/s and end-to-end p50/p95 latency. The sweep is also
@@ -101,8 +101,8 @@ void printColdVsWarm() {
 
 void printBatchDispatch() {
   dic::bench::title(
-      "Mixed batch (drc+baseline+erc+netlist x4): serial vs pooled "
-      "dispatch, warm cache");
+      "Mixed batch (drc+baseline+erc+netlist x4): pool-size sweep, "
+      "warm cache");
   std::printf("(host hardware threads: %d)\n",
               engine::Executor::hardwareThreads());
   std::printf("%-10s %8s %10s %10s %9s\n", "threads", "workers", "wall-ms",
@@ -126,10 +126,9 @@ void printBatchDispatch() {
                 wall > 0 ? base / wall : 0.0);
   }
   dic::bench::note(
-      "\nEach request is decomposed into its inner stages on the "
-      "batch-wide ready-queue\ndispatcher (shared view/netlist prefetch "
-      "stages, cross-request overlap); results are\nbyte-identical to "
-      "sequential single runs at every pool size.");
+      "\nRequests are served one after another; each request's Fig. 10 "
+      "stages and their\nper-cell fan-outs share the pool. Results are "
+      "byte-identical to sequential single\nruns at every pool size.");
 }
 
 void BM_WarmDrcRequest(benchmark::State& state) {

@@ -2,8 +2,9 @@
 // over a design, the way a layout-editor session or a submit-queue
 // service would drive it.
 //
-//   * a mixed batch (DRC + baseline + ERC + netlist) decomposed into
-//     per-request stages on the shared batch-wide dispatcher,
+//   * a mixed batch (DRC + baseline + ERC + netlist) served request by
+//     request: the first request builds the view and the netlist, and
+//     the later ones reuse them,
 //   * a second identical batch served from the per-(root, revision) view
 //     cache (watch viewCacheHit/netlistCacheHit flip to true),
 //   * an edit -- the revision bump invalidates the cache -- and a
@@ -62,7 +63,7 @@ int main(int argc, char** argv) {
       CheckRequest::netlistOnly(top),
   };
 
-  // Cold: every request shares the one view build of this batch.
+  // Cold: the first request builds the view; the rest of the batch hits.
   printResults("cold batch (fresh workspace):", ws.runBatch(batch));
 
   // Warm: the same traffic again -- no view, grid, or netlist rebuild.

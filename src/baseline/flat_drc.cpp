@@ -180,8 +180,8 @@ report::Report check(engine::HierarchyView& view, const tech::Technology& tech,
         const Coord s =
             tech.spacing(la, lb).forRelation(tech::NetRelation::kUnknown);
         if (s <= 0) continue;
-        const auto ca = components(mask[la]);
-        const auto cb = components(mask[lb]);
+        const auto& ca = comps[la];
+        const auto& cb = comps[lb];
         std::vector<Rect> bbs(cb.size());
         for (std::size_t j = 0; j < cb.size(); ++j) bbs[j] = bboxOf(cb[j]);
         const engine::SpatialSet set(bbs, 16 * s);
@@ -243,19 +243,6 @@ report::Report check(engine::HierarchyView& view, const tech::Technology& tech,
   }
 
   return rep;
-}
-
-engine::Stage stage(std::string name, std::vector<std::string> deps,
-                    std::shared_ptr<engine::HierarchyView> view,
-                    const tech::Technology& tech, Options opts,
-                    report::Report* out, Stats* stats) {
-  return {std::move(name), std::move(deps),
-          [view = std::move(view), &tech, opts, out,
-           stats](engine::Executor&) {
-            *out = check(*view, tech, opts, stats);
-            return report::Report{};
-          },
-          /*cost=*/6.0};
 }
 
 }  // namespace dic::baseline

@@ -76,18 +76,8 @@ report::Report Checker::run() {
   return run(exec);
 }
 
-std::vector<engine::Stage> Checker::stages(
-    const std::string& prefix, std::vector<std::string> commonDeps,
-    std::vector<std::string> netlistDeps) {
+report::Report Checker::run(engine::Executor& exec) {
   nl_ = nullptr;
-  stageReports_.assign(5, {});
-  // The netlist stage is gated by the shared deps plus its own extra
-  // edges (a batch's extraction-prefetch stage); interactions depends on
-  // this request's netlist stage by name.
-  std::vector<std::string> nlDeps = commonDeps;
-  nlDeps.insert(nlDeps.end(), netlistDeps.begin(), netlistDeps.end());
-  std::vector<std::string> interactDeps = commonDeps;
-  interactDeps.push_back(prefix + "netlist");
   // Cost hints mirror the Fig. 10 breakdown (interactions and netlist
   // generation dominate; element/symbol checks are cheap, once per
   // definition). The ready-queue dispatcher starts costlier ready stages
@@ -95,71 +85,45 @@ std::vector<engine::Stage> Checker::stages(
   // interaction stage — is never stuck behind the cheap checks. (A
   // supplier serving a cached netlist finishes immediately; the hint
   // stays at the extraction cost because a hit cannot be known here.)
-  std::vector<engine::Stage> out;
-  out.push_back({prefix + "elements", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[0] = checkElementsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/1.0});
-  out.push_back({prefix + "symbols", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[1] = checkPrimitiveSymbolsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/1.0});
-  out.push_back({prefix + "connections", commonDeps,
-                 [this](engine::Executor& e) {
-                   stageReports_[2] = checkConnectionsImpl(e);
-                   return report::Report{};
-                 },
-                 /*cost=*/2.0});
-  out.push_back({prefix + "netlist", std::move(nlDeps),
-                 [this](engine::Executor& e) {
-                   nl_ = supplier_ ? supplier_(e)
-                                   : std::make_shared<const netlist::Netlist>(
-                                         netlist::extract(*view_, tech_,
-                                                          opt_.extract));
-                   return report::Report{};
-                 },
-                 /*cost=*/6.0});
-  out.push_back({prefix + "interactions", std::move(interactDeps),
-                 [this](engine::Executor& e) {
-                   stageReports_[4] = checkInteractionsImpl(*nl_, e);
-                   return report::Report{};
-                 },
-                 /*cost=*/10.0});
-  return out;
-}
-
-report::Report Checker::report() const {
-  report::Report merged;
-  for (const report::Report& r : stageReports_) merged.merge(r);
-  return merged;
-}
-
-report::Report Checker::run(engine::Executor& exec) {
+  // Stage reports merge in declaration order, so the report is
+  // independent of the schedule.
   engine::Pipeline pipe;
-  for (engine::Stage& s : stages()) pipe.add(std::move(s));
+  pipe.add({"elements", {},
+            [this](engine::Executor& e) { return checkElementsImpl(e); },
+            /*cost=*/1.0});
+  pipe.add({"symbols", {},
+            [this](engine::Executor& e) {
+              return checkPrimitiveSymbolsImpl(e);
+            },
+            /*cost=*/1.0});
+  pipe.add({"connections", {},
+            [this](engine::Executor& e) { return checkConnectionsImpl(e); },
+            /*cost=*/2.0});
+  pipe.add({"netlist", {},
+            [this](engine::Executor& e) {
+              nl_ = supplier_ ? supplier_(e)
+                              : std::make_shared<const netlist::Netlist>(
+                                    netlist::extract(*view_, tech_,
+                                                     opt_.extract));
+              return report::Report{};
+            },
+            /*cost=*/6.0});
+  pipe.add({"interactions", {"netlist"},
+            [this](engine::Executor& e) {
+              return checkInteractionsImpl(*nl_, e);
+            },
+            /*cost=*/10.0});
   // Timings are recorded on the failure path too: a caller that catches a
   // stage exception sees how far THIS run got (never-started stages keep
   // start = -1), not a stale copy from the previous run.
-  auto record = [&] {
-    stageResults_ = pipe.results();
-    times_.elements = pipe.seconds("elements");
-    times_.symbols = pipe.seconds("symbols");
-    times_.connections = pipe.seconds("connections");
-    times_.netlist = pipe.seconds("netlist");
-    times_.interactions = pipe.seconds("interactions");
-  };
   try {
-    pipe.run(exec);
+    report::Report merged = pipe.run(exec);
+    stageResults_ = pipe.results();
+    return merged;
   } catch (...) {
-    record();
+    stageResults_ = pipe.results();
     throw;
   }
-  record();
-  return report();
 }
 
 report::Report Checker::perCellStage(
@@ -167,27 +131,29 @@ report::Report Checker::perCellStage(
     const std::function<void(layout::CellId, report::Report&)>& fn) {
   const std::vector<layout::CellId>& cells = view_->cells();
   view_->placements();  // built once, read-only for the workers below
-  std::vector<report::Report> reps(cells.size());
+  // Per-cell reports are written straight into the incremental cache's
+  // slice when one is engaged (the merged report is read back from it),
+  // so neither path copies a report into or out of the cache.
+  std::vector<report::Report> local;
+  std::vector<report::Report>& reps =
+      icache_ ? icache_->perCell[cacheSlot] : local;
   // Reuse path: only cells whose own content changed recompute; every
-  // clean cell takes its cached report verbatim. The merge below runs in
-  // the same cells() order either way, so the output is byte-identical to
-  // a full recompute.
+  // clean cell keeps its cached report. The merge below runs in the same
+  // cells() order either way, so the output is byte-identical to a full
+  // recompute.
   const bool reuse = icache_ && idirty_ && icache_->valid &&
-                     icache_->cells == cells &&
-                     icache_->perCell[cacheSlot].size() == cells.size();
+                     icache_->cells == cells && reps.size() == cells.size();
   if (reuse) {
-    const std::vector<report::Report>& cached = icache_->perCell[cacheSlot];
     exec.parallelFor(cells.size(), [&](std::size_t k) {
-      if (idirty_->dirtyCells.count(cells[k]))
-        fn(cells[k], reps[k]);
-      else
-        reps[k] = cached[k];
+      if (!idirty_->dirtyCells.count(cells[k])) return;
+      reps[k] = report::Report{};
+      fn(cells[k], reps[k]);
     });
   } else {
+    reps.assign(cells.size(), report::Report{});
     exec.parallelFor(cells.size(),
                      [&](std::size_t k) { fn(cells[k], reps[k]); });
   }
-  if (icache_) icache_->perCell[cacheSlot] = reps;
   report::Report out;
   for (const report::Report& r : reps) out.merge(r);
   return out;

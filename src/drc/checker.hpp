@@ -74,23 +74,6 @@ struct Options {
   netlist::ExtractOptions extract{};
 };
 
-/// Wall-clock per stage, seconds (Fig. 10 breakdown bench). With
-/// Options::threads > 1 stages run concurrently (each starts the moment
-/// its dependencies finish), so the per-stage clocks overlap and total()
-/// can exceed the pipeline's real wall time -- time run() externally when
-/// measuring end-to-end speed. Checker::stageResults() additionally
-/// carries each stage's start timestamp.
-struct StageTimes {
-  double elements{0};
-  double symbols{0};
-  double connections{0};
-  double netlist{0};
-  double interactions{0};
-  double total() const {
-    return elements + symbols + connections + netlist + interactions;
-  }
-};
-
 /// Statistics of the interaction stage (Fig. 12 bench): how many candidate
 /// pairs fell into each sub-case and how many were pruned.
 struct InteractionStats {
@@ -217,36 +200,10 @@ class Checker {
   /// Options::threads workers for this run.
   report::Report run();
 
-  /// Same, on a caller-owned executor (a Workspace's persistent pool, or
-  /// a batch dispatcher's shared workers). Options::threads is ignored;
-  /// `exec` sizes all parallelism. Results are byte-identical to run()
-  /// for every pool size. Implemented as stages() + a private pipeline:
-  /// the stage list is the single source of truth for the DIC graph.
+  /// Same, on a caller-owned executor (a Workspace's persistent pool).
+  /// Options::threads is ignored; `exec` sizes all parallelism. Results
+  /// are byte-identical to run() for every pool size.
   report::Report run(engine::Executor& exec);
-
-  /// The five Fig. 10 stages as first-class engine::Stage entries, so a
-  /// caller can register them on its OWN pipeline — this is how the
-  /// Workspace's decomposed runBatch feeds every request's inner stages
-  /// to one batch-wide dispatcher instead of running each request as an
-  /// opaque unit. Names are `prefix` + {"elements", "symbols",
-  /// "connections", "netlist", "interactions"}; intra-request edges are
-  /// wired (interactions depends on prefix+netlist), `commonDeps` is
-  /// appended to every stage (the batch points it at the shared
-  /// view-build stage), and `netlistDeps` additionally gates the netlist
-  /// stage (the shared extraction-prefetch stage). Stage bodies write
-  /// into this checker's internal per-stage slots and return empty
-  /// reports; after the stages have run in some pipeline, report()
-  /// merges the slots in declaration order — byte-identical to run().
-  /// Calling stages() resets the slots and lastNetlist(); the checker
-  /// must outlive the pipeline run.
-  std::vector<engine::Stage> stages(const std::string& prefix = "",
-                                    std::vector<std::string> commonDeps = {},
-                                    std::vector<std::string> netlistDeps = {});
-
-  /// Merge of the per-stage reports of the last stages() run, in stage
-  /// declaration order (the byte-identity invariant's merge rule). Valid
-  /// after the stages have completed in whatever pipeline hosted them.
-  report::Report report() const;
 
   // Individual stages (callable independently; run() declares them as
   // pipeline stages with the same semantics).
@@ -256,13 +213,15 @@ class Checker {
   netlist::Netlist generateNetlist();
   report::Report checkInteractions(const netlist::Netlist& nl);
 
-  const StageTimes& stageTimes() const { return times_; }
-
   /// Per-stage start/duration of the last run(), in stage-declaration
-  /// order (engine::StageResult::start is seconds from pipeline entry) --
-  /// what the dispatcher benches read to show the interaction stage
-  /// starting before independent stages drain. Populated even when run()
-  /// throws: stages that never started keep start = -1.
+  /// order ("elements", "symbols", "connections", "netlist",
+  /// "interactions"; engine::StageResult::start is seconds from pipeline
+  /// entry) -- the Fig. 10 breakdown, and what the dispatcher benches
+  /// read to show the interaction stage starting before independent
+  /// stages drain. With more than one worker stages run concurrently, so
+  /// the per-stage clocks overlap and their sum can exceed the run's wall
+  /// time. Populated even when run() throws: stages that never started
+  /// keep start = -1.
   const std::vector<engine::StageResult>& stageResults() const {
     return stageResults_;
   }
@@ -319,7 +278,7 @@ class Checker {
   /// deterministic cells() order. `cacheSlot` (0..2) selects the
   /// IncrementalCache::perCell slice this stage reads/writes when
   /// incremental mode is engaged; on reuse only DirtyInfo::dirtyCells
-  /// recompute and clean cells take their cached report.
+  /// recompute and clean cells keep their cached report.
   report::Report perCellStage(
       engine::Executor& exec, int cacheSlot,
       const std::function<void(layout::CellId, report::Report&)>& fn);
@@ -336,10 +295,6 @@ class Checker {
   std::function<std::shared_ptr<const netlist::Netlist>(engine::Executor&)>
       supplier_;
   std::shared_ptr<const netlist::Netlist> nl_;
-  /// Per-stage report slots in declaration order, written by the stage
-  /// bodies stages() hands out and merged by report().
-  std::vector<report::Report> stageReports_;
-  StageTimes times_;
   std::vector<engine::StageResult> stageResults_;
   InteractionStats istats_;
   IncrementalCache* icache_{nullptr};

@@ -607,14 +607,16 @@ report::Report checkInteractionsHierarchical(InteractionContext& ctx,
 
   // Merge in item order — identical for cold, populate, and reuse runs,
   // which is what makes the reuse path byte-identical. The cache update
-  // rides the serial merge loop, so the item map needs no locking.
+  // rides the serial merge loop, so the item map needs no locking; each
+  // fresh item result is merged first and then moved into the cache.
   if (cache && !reuse) cache->items.clear();
   for (std::size_t t = 0; t < items.size(); ++t) {
     if (affected[t]) {
       rep.merge(itemReps[t]);
       ctx.stats.merge(itemStats[t]);
       if (cache)
-        cache->items[keyOf(items[t])] = {itemReps[t], itemStats[t]};
+        cache->items[keyOf(items[t])] = {std::move(itemReps[t]),
+                                         std::move(itemStats[t])};
     } else {
       const IncrementalCache::ItemResult& c = cache->items.at(keyOf(items[t]));
       rep.merge(c.report);

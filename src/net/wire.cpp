@@ -263,7 +263,6 @@ std::vector<std::uint8_t> encodeCheckFrame(std::uint64_t requestId,
   putU8(payload, req.extract.mergeByLabel ? 1 : 0);
   putU32(payload, static_cast<std::uint32_t>(req.extract.globalPrefixes.size()));
   for (const std::string& pfx : req.extract.globalPrefixes) putStr(payload, pfx);
-  putI32(payload, req.threads);
   putU32(payload, static_cast<std::uint32_t>(req.edits.size()));
   for (const EditOp& op : req.edits) {
     putU8(payload, static_cast<std::uint8_t>(op.kind));
@@ -314,7 +313,6 @@ bool decodeCheckPayload(const std::uint8_t* p, std::size_t n,
   req.extract.globalPrefixes.reserve(nPfx);
   for (std::uint32_t i = 0; i < nPfx; ++i)
     req.extract.globalPrefixes.push_back(rd.str());
-  req.threads = rd.i32();
   const std::uint32_t nEdits = rd.u32();
   // An encoded EditOp is at least 9 bytes of its own fields plus the
   // element (>= 59) and instance (>= 21) payloads.

@@ -53,8 +53,9 @@ inline constexpr std::uint32_t kMagic = 0x4E434944u;
 /// per-library heat in the stats payload. Version 3 added placement to
 /// the heat table. Version 4 removed the stats request/response pair
 /// (types 2 and 20, now unknown): ServerStats is built client-side
-/// from the kMetrics snapshot (server::statsFromMetrics).
-inline constexpr std::uint8_t kVersion = 4;
+/// from the kMetrics snapshot (server::statsFromMetrics). Version 5
+/// removed the per-request worker count from the kCheck payload.
+inline constexpr std::uint8_t kVersion = 5;
 /// Bytes in the fixed frame header.
 inline constexpr std::size_t kHeaderSize = 20;
 /// Hard cap on a frame's declared payload length. A header declaring

@@ -241,12 +241,9 @@ class Server {
   }
 
   /// Submit a batch for `id`'s library as one queue job. The shard runs
-  /// it through the decomposed Workspace::runBatch: every request's
-  /// inner stages (view warm-up, netlist extraction, checks, merge)
-  /// feed the shard's batch-wide ready-queue dispatcher with shared
-  /// view/netlist prefetch stages, so one request's checks overlap
-  /// another's extraction on the shard pool and a failing request is
-  /// isolated mid-graph. Results come back in request order,
+  /// it through Workspace::runBatch, which serves the requests in order
+  /// on the shard pool; a failing request reports its error and its
+  /// siblings still run. Results come back in request order,
   /// byte-identical to sequential per-request runs. On a server-level
   /// failure every slot of the returned vector carries the kErr*
   /// result.

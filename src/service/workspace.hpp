@@ -15,14 +15,12 @@
 /// `layout::Library::revision()`, so stale views self-invalidate and the
 /// next request transparently rebuilds.
 ///
-/// Batches go through the same engine that runs the DIC pipeline:
-/// `runBatch` decomposes every request into its inner pipeline stages
-/// (shared view warm-up, netlist extraction, checks, merge) and feeds
-/// them all to one batch-wide ready-queue dispatcher with cross-request
-/// dependency edges, so one request's checks overlap another's
-/// extraction while results stay byte-identical to running the requests
-/// one by one (slot-per-request merging, the engine's determinism
-/// contract; see docs/workspace.md and docs/engine.md).
+/// A batch is served request by request, in order, through the same path
+/// as a single run(): results are byte-identical to calling run() on each
+/// request sequentially, edits included, and every request gets the view,
+/// netlist and incremental caches. The parallelism lives inside each
+/// request -- its Fig. 10 stages and their per-cell fan-outs share the
+/// Workspace's pool (see docs/workspace.md and docs/engine.md).
 
 #include <atomic>
 #include <cstdint>
@@ -122,17 +120,10 @@ struct CheckRequest {
   /// per view.
   netlist::ExtractOptions extract{};
 
-  /// Worker budget for a single run(): 0 uses the Workspace's shared
-  /// persistent pool; N > 0 runs this request on a dedicated pool of N.
-  /// Ignored inside runBatch (the batch shares the Workspace pool).
-  /// Results are byte-identical either way.
-  int threads{0};
-
   /// Library edits to apply (in order, through the tracked edit API)
   /// before this check runs. The mutation and the check are one serial
-  /// unit: in runBatch an edit-carrying request is a barrier — preceding
-  /// requests complete first, the edit+check runs alone, then the batch
-  /// resumes — so results stay byte-identical to a sequential replay.
+  /// unit; runBatch serves requests in order, so a batch with edits is
+  /// byte-identical to a sequential replay.
   std::vector<EditOp> edits;
 
   /// Caller correlation tag, echoed untouched in CheckResult::tag.
@@ -167,10 +158,9 @@ struct CheckResult {
   layout::CellId root{0};
   /// All violations (empty for kNetlistOnly).
   report::Report report;
-  /// Per-stage wall-clock (hierarchical DRC only; zeros otherwise).
-  drc::StageTimes stageTimes;
-  /// Per-stage start/duration in declaration order (hierarchical DRC
-  /// only; empty otherwise).
+  /// Per-stage start/duration of the Fig. 10 stages in declaration order
+  /// (hierarchical DRC only; empty otherwise). Starts are seconds from
+  /// the request's pipeline entry.
   std::vector<engine::StageResult> stageResults;
   /// Interaction-stage statistics (hierarchical DRC only).
   drc::InteractionStats interactionStats;
@@ -192,12 +182,9 @@ struct CheckResult {
   bool incrementalHit{false};
   /// Library revision this result was computed against.
   std::uint64_t revision{0};
-  /// End-to-end wall-clock of this request, seconds — clean per
-  /// request, including inside pooled batches: each pipeline run's help
-  /// loop steals only work carrying its own scope tag (docs/engine.md,
-  /// "Help scopes"), so this clock never absorbs a sibling request's
-  /// runtime. Overlapping requests' clocks legitimately overlap; use
-  /// the batch's outer wall clock for throughput.
+  /// End-to-end wall-clock of this request's serve, seconds (edits,
+  /// view acquire and the check; cache-limit bookkeeping excluded).
+  /// Inside a batch each request keeps its own clock.
   double seconds{0};
   /// Request tag, echoed back.
   std::string tag;
@@ -267,19 +254,10 @@ class Workspace {
   /// check returns its message in CheckResult::error.
   CheckResult run(const CheckRequest& req);
 
-  /// Serve a batch through the decomposed batch graph: every request's
-  /// inner stages (view warm-up, netlist extraction, per-check, merge)
-  /// become first-class cost-hinted stages on one ready-queue
-  /// dispatcher, with cross-request edges for shared work (one view
-  /// stage per root, one extraction-prefetch per shared (root, extract)
-  /// pair) — so request B's checks start while request A's extraction
-  /// is still running. A failing stage poisons only its own request
-  /// (engine::FailurePolicy::kIsolate); results arrive in request order
-  /// and are byte-identical to calling run() on each request
-  /// sequentially at every pool size. Batch telemetry semantics
-  /// (viewCacheHit per batch acquire, batch-relative stage starts,
-  /// seconds spanning the request's own stages) are documented in
-  /// docs/workspace.md.
+  /// Serve a batch: each request in order, exactly as run() serves it.
+  /// Results, telemetry included, equal calling run() on each request
+  /// sequentially; a failing request reports its error and the batch
+  /// continues.
   std::vector<CheckResult> runBatch(std::span<const CheckRequest> reqs);
 
   /// The cached hierarchy view for `root` at the library's current
@@ -326,8 +304,7 @@ class Workspace {
 
     // --- incremental edit-then-check state -----------------------------
     // Written only inside serve()/acquire() under the Workspace's
-    // single-driver contract (one thread drives run/runBatch); the batch
-    // path never touches it.
+    // single-driver contract (one thread drives run/runBatch).
     /// Per-unit results of the last signature-matching DRC run on this
     /// view; valid=false until a populating run completes.
     drc::IncrementalCache icache;
@@ -358,12 +335,10 @@ class Workspace {
   /// dropped otherwise) are all updated and true is returned. On false
   /// the entry must be rebuilt (the view may be partially patched).
   bool tryPatch(Entry& e, const std::vector<layout::CellEdit>& edits);
-  /// The decomposed batch dispatcher (edit-free requests only); runBatch
-  /// splits around edit barriers and feeds the segments here.
-  std::vector<CheckResult> runBatchImpl(std::span<const CheckRequest> reqs);
   std::shared_ptr<const netlist::Netlist> netlistFor(
       Entry& e, const netlist::ExtractOptions& opts, bool& hit);
-  CheckResult serve(const CheckRequest& req, engine::Executor& exec);
+  /// The one execution path behind run() and runBatch().
+  CheckResult serve(const CheckRequest& req);
   /// Evict coldest entries until the accounted bytes fit maxCacheBytes
   /// (no-op when the cap is 0). Runs after every request; never evicts
   /// the most recently acquired entry.

@@ -14,6 +14,7 @@
 #include <mutex>
 #include <random>
 #include <thread>
+#include <vector>
 
 #include "drc/checker.hpp"
 #include "engine/executor.hpp"
@@ -690,64 +691,13 @@ TEST(Pipeline, DependentOfFastStageDoesNotWaitForSlowIndependentStage) {
       << "'dep' started only after 'slow' finished";
 }
 
-TEST(Pipeline, IsolatedFailureSkipsOnlyDependentSubgraph) {
-  // FailurePolicy::kIsolate — the decomposed-batch semantics: a throwing
-  // stage records its error, its transitive dependents are skipped, and
-  // every stage NOT downstream of the failure still runs. run() returns
-  // normally with the survivors' merged report.
-  for (const int threads : {1, 4}) {
-    engine::Executor exec(threads);
-    engine::Pipeline pipe;
-    std::atomic<int> ran{0};
-    auto counting = [&ran](const char* msg) {
-      return [&ran, msg](engine::Executor&) {
-        ran.fetch_add(1);
-        report::Report r;
-        report::Violation v;
-        v.message = msg;
-        r.add(std::move(v));
-        return r;
-      };
-    };
-    pipe.add({"bad", {}, [](engine::Executor&) -> report::Report {
-                throw std::runtime_error("stage exploded");
-              }});
-    pipe.add({"child", {"bad"}, counting("child")});
-    pipe.add({"grandchild", {"child"}, counting("grandchild")});
-    pipe.add({"bystander", {}, counting("bystander")});
-    pipe.add({"dependent", {"bystander"}, counting("dependent")});
-    report::Report rep;
-    ASSERT_NO_THROW(rep = pipe.run(exec, engine::FailurePolicy::kIsolate))
-        << "threads=" << threads;
-    EXPECT_EQ(ran.load(), 2) << "threads=" << threads;
-
-    const std::vector<engine::StageResult>& rs = pipe.results();
-    ASSERT_EQ(rs.size(), 5u);
-    EXPECT_EQ(rs[0].error, "stage exploded");
-    EXPECT_FALSE(rs[0].skipped);
-    EXPECT_FALSE(rs[0].ok());
-    EXPECT_TRUE(rs[1].skipped);          // direct dependent
-    EXPECT_LT(rs[1].start, 0.0);         // never started
-    EXPECT_TRUE(rs[2].skipped);          // transitive dependent
-    EXPECT_TRUE(rs[3].ok());
-    EXPECT_TRUE(rs[4].ok());  // dependent of a HEALTHY stage still runs
-
-    // Survivors merge in declaration order; failed/skipped contribute
-    // nothing.
-    ASSERT_EQ(rep.count(), 2u);
-    EXPECT_EQ(rep.violations()[0].message, "bystander");
-    EXPECT_EQ(rep.violations()[1].message, "dependent");
-  }
-}
-
-TEST(Pipeline, CrossRequestCheckStartsWhileSiblingExtractRuns) {
-  // The decomposed-batch shape: two request subgraphs (view -> extract ->
-  // check) share one dispatcher. Under request-at-a-time scheduling,
-  // request B's check could never start before request A completed; with
-  // first-class inner stages it starts the moment B's own chain allows.
-  // Proved by ordering, not wall-clock: A's extract stage blocks until it
-  // OBSERVES B's check starting (generous timeout so a regression fails
-  // rather than hangs).
+TEST(Pipeline, IndependentChainCheckStartsWhileSiblingExtractRuns) {
+  // Two independent chains (view -> extract -> check) share one
+  // dispatcher. Under chain-at-a-time scheduling, chain B's check could
+  // never start before chain A completed; on the ready queue it starts
+  // the moment B's own chain allows. Proved by ordering, not wall-clock:
+  // A's extract stage blocks until it OBSERVES B's check starting
+  // (generous timeout so a regression fails rather than hangs).
   engine::Executor exec(4);
   engine::Pipeline pipe;
   std::mutex mu;
@@ -781,9 +731,9 @@ TEST(Pipeline, CrossRequestCheckStartsWhileSiblingExtractRuns) {
             /*cost=*/10.0});
   pipe.run(exec);
   EXPECT_TRUE(aExtractSawIt)
-      << "request B's check stage never started while request A's extract "
-         "stage was running -- the batch graph is scheduling "
-         "request-at-a-time again";
+      << "chain B's check stage never started while chain A's extract "
+         "stage was running -- the dispatcher is scheduling "
+         "chain-at-a-time again";
   // The recorded timestamps tell the same story.
   const std::vector<engine::StageResult>& rs = pipe.results();
   const auto find = [&](const std::string& name) {
@@ -814,9 +764,12 @@ std::vector<std::string> canonical(const report::Report& rep) {
 
 TEST(EngineEquivalence, FlatAndHierarchicalProduceIdenticalViolationSets) {
   // The paper's Fig. 1 claim — hierarchical checking loses nothing
-  // against flat — under both settings of useNetInformation. With nets
-  // off only the net *relations* go away: two shapes of one device
-  // instance are still left to the device check in both modes.
+  // against flat — compared on whole run() reports across every
+  // result-affecting option: nets on/off, both metrics, device checks
+  // on/off, instantiated or per-definition violations, on a serial and
+  // an 8-worker pool. With nets off only the net *relations* go away:
+  // two shapes of one device instance are still left to the device
+  // check in both modes.
   const tech::Technology t = tech::nmos();
   const workload::ChipParams chips[] = {{1, 1, 2, 2, false},
                                         {1, 2, 2, 2, true},
@@ -824,6 +777,24 @@ TEST(EngineEquivalence, FlatAndHierarchicalProduceIdenticalViolationSets) {
                                         {1, 2, 2, 3, true},
                                         {2, 2, 2, 4, true}};
   const unsigned injectSeeds[] = {0, 3, 7, 42};  // 0 = no injection
+  std::vector<drc::Options> variants;  // flat mode; hier flips one flag
+  for (const bool nets : {true, false}) {
+    for (const geom::Metric metric :
+         {geom::Metric::kEuclidean, geom::Metric::kOrthogonal}) {
+      for (const bool devices : {true, false}) {
+        for (const bool instantiate : {true, false}) {
+          drc::Options o;
+          o.hierarchicalInteractions = false;
+          o.useNetInformation = nets;
+          o.metric = metric;
+          o.checkDevices = devices;
+          o.instantiateViolations = instantiate;
+          variants.push_back(o);
+        }
+      }
+    }
+  }
+  engine::Executor serial(1), pooled(8);
   for (std::size_t c = 0; c < std::size(chips); ++c) {
     for (const unsigned seed : injectSeeds) {
       workload::GeneratedChip chip = workload::generateChip(t, chips[c]);
@@ -831,19 +802,19 @@ TEST(EngineEquivalence, FlatAndHierarchicalProduceIdenticalViolationSets) {
         workload::InjectionPlan plan;  // defaults: plant a bit of everything
         workload::inject(chip, t, plan, seed);
       }
-      for (const bool nets : {true, false}) {
-        drc::Options flat;
-        flat.hierarchicalInteractions = false;
-        flat.useNetInformation = nets;
+      for (const drc::Options& flat : variants) {
         drc::Options hier = flat;
         hier.hierarchicalInteractions = true;
-
-        drc::Checker cf(chip.lib, chip.top, t, flat);
-        drc::Checker ch(chip.lib, chip.top, t, hier);
-        const auto rf = cf.checkInteractions(cf.generateNetlist());
-        const auto rh = ch.checkInteractions(ch.generateNetlist());
-        EXPECT_EQ(canonical(rf), canonical(rh))
-            << "chip " << c << " inject " << seed << " nets " << nets;
+        for (engine::Executor* exec : {&serial, &pooled}) {
+          drc::Checker cf(chip.lib, chip.top, t, flat);
+          drc::Checker ch(chip.lib, chip.top, t, hier);
+          EXPECT_EQ(canonical(cf.run(*exec)), canonical(ch.run(*exec)))
+              << "chip " << c << " inject " << seed << " nets "
+              << flat.useNetInformation << " metric "
+              << static_cast<int>(flat.metric) << " devices "
+              << flat.checkDevices << " instantiate "
+              << flat.instantiateViolations << " pool " << exec->threads();
+        }
       }
     }
   }

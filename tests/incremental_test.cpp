@@ -6,6 +6,7 @@
 // halo-boundary-exact spacing, empty cells, edit-then-drop).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -195,8 +196,13 @@ void expectSameResult(const CheckResult& inc, const CheckResult& cold,
 }
 
 /// The oracle loop against a direct Workspace (no server): `threads`
-/// sizes the served side's pool; the oracle always runs cold.
-void runWorkspaceOracle(unsigned seed, int threads, int edits) {
+/// sizes the served side's pool; the oracle always runs cold. Unbatched,
+/// every step is one run() with one edit. Batched, consecutive steps are
+/// grouped into runBatch calls of 1-4 requests and about one step in four
+/// is a plain re-check with no edit; every such re-check follows a
+/// successful DRC run, so it must be served from the incremental cache.
+void runWorkspaceOracle(unsigned seed, int threads, int steps,
+                        bool batched = false) {
   workload::GeneratedChip chip = makeChip(seed);
   const layout::CellId top = chip.top;
   const tech::Technology t = tech::nmos();
@@ -204,19 +210,47 @@ void runWorkspaceOracle(unsigned seed, int threads, int edits) {
   Workspace oracle(chip.lib, t, {.threads = 1});
   Rng rng(seed * 1000003ULL + 17);
   int nameCounter = 0;
+  int rechecks = 0;
   // Warm-up: populate the incremental cache once.
   ASSERT_TRUE(served.run(CheckRequest::drc(top)).ok());
-  for (int n = 0; n < edits; ++n) {
-    const EditOp edit =
-        randomEdit(rng, oracle.library(), top, nameCounter);
-    CheckRequest req = CheckRequest::drc(top);
-    req.edits.push_back(edit);
-    const CheckResult inc = served.run(req);
-    const CheckResult cold = oracleCheck(oracle, top, edit);
-    expectSameResult(inc, cold,
-                     "seed " + std::to_string(seed) + " edit " +
-                         std::to_string(n));
-    if (::testing::Test::HasFailure()) break;
+  for (int n = 0; n < steps;) {
+    const std::size_t size = std::min<std::size_t>(
+        batched ? 1 + rng.uniform(4) : 1, static_cast<std::size_t>(steps - n));
+    std::vector<CheckRequest> reqs;
+    std::vector<CheckResult> colds;
+    for (std::size_t k = 0; k < size; ++k) {
+      // The oracle mirrors each step as it is generated, so the next
+      // step's random edit sees the library the batch will have reached.
+      const bool recheck = batched && rng.uniform(4) == 0;
+      CheckRequest req = CheckRequest::drc(top);
+      EditOp edit;
+      if (!recheck) {
+        edit = randomEdit(rng, oracle.library(), top, nameCounter);
+        req.edits.push_back(edit);
+      }
+      reqs.push_back(std::move(req));
+      colds.push_back(oracleCheck(oracle, top, edit));
+    }
+    const std::vector<CheckResult> incs =
+        batched ? served.runBatch(reqs)
+                : std::vector<CheckResult>{served.run(reqs[0])};
+    ASSERT_EQ(incs.size(), reqs.size());
+    for (std::size_t k = 0; k < reqs.size(); ++k, ++n) {
+      const std::string what = "seed " + std::to_string(seed) + " step " +
+                               std::to_string(n) +
+                               (batched ? " (batch of " +
+                                              std::to_string(reqs.size()) + ")"
+                                        : "");
+      expectSameResult(incs[k], colds[k], what);
+      if (reqs[k].edits.empty()) {
+        ++rechecks;
+        EXPECT_TRUE(incs[k].incrementalHit) << what;
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  if (batched) {
+    EXPECT_GT(rechecks, 0) << "seed " << seed;
   }
 }
 
@@ -269,6 +303,16 @@ TEST(Incremental, OracleThreads1) {
 
 TEST(Incremental, OracleThreads8) {
   for (unsigned seed : {1u, 2u, 3u, 4u}) runWorkspaceOracle(seed, 8, 50);
+}
+
+TEST(Incremental, OracleBatchThreads1) {
+  for (unsigned seed : {1u, 2u, 3u, 4u})
+    runWorkspaceOracle(seed, 1, 50, /*batched=*/true);
+}
+
+TEST(Incremental, OracleBatchThreads8) {
+  for (unsigned seed : {1u, 2u, 3u, 4u})
+    runWorkspaceOracle(seed, 8, 50, /*batched=*/true);
 }
 
 TEST(Incremental, OracleServer1Shard) {

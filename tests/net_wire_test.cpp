@@ -104,7 +104,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   req.erc.checkDepletionToGround = true;
   req.extract.mergeByLabel = false;
   req.extract.globalPrefixes = {"VDD", "GND", "PHI"};
-  req.threads = 3;
   req.tag = "req-77";
 
   layout::Element wire;
@@ -155,7 +154,6 @@ TEST(NetWire, CheckFrameRoundTripRich) {
   EXPECT_EQ(got.erc.checkDepletionToGround, req.erc.checkDepletionToGround);
   EXPECT_EQ(got.extract.mergeByLabel, req.extract.mergeByLabel);
   EXPECT_EQ(got.extract.globalPrefixes, req.extract.globalPrefixes);
-  EXPECT_EQ(got.threads, req.threads);
   EXPECT_EQ(got.tag, req.tag);
   ASSERT_EQ(got.edits.size(), 2u);
   EXPECT_EQ(got.edits[0].kind, EditOp::Kind::kSetElement);

@@ -273,8 +273,8 @@ TEST(Trace, RepeatedWorkspaceRunsTraceTheSameStages) {
     EXPECT_FALSE(s.label().empty());
   }
 
-  // Two warm runs decompose into the same stage graph, so their traces
-  // carry identical span-name multisets; the cold run's stages cover
+  // Two warm runs go through the same stages, so their traces carry
+  // identical span-name multisets; the cold run's stages cover
   // everything a warm run does.
   const std::uint64_t warmA = obs::newTraceId();
   tracedRun(warmA);

@@ -331,10 +331,10 @@ TEST(Server, BatchGoesThroughWorkspaceBatchDispatch) {
   EXPECT_EQ(srv.stats().totalServed(), reqs.size());
 }
 
-TEST(Server, BatchFailureIsolatedInsideDecomposedGraph) {
-  // submitBatch rides the decomposed runBatch path: a bad-root request
-  // fails inside the shard's batch graph without touching its siblings,
-  // and the whole batch still resolves through one future.
+TEST(Server, BatchFailureDoesNotTouchSiblings) {
+  // submitBatch rides Workspace::runBatch: a bad-root request fails
+  // without touching its siblings, and the whole batch still resolves
+  // through one future.
   server::ServerOptions opts;
   opts.shards = 2;
   opts.threadsPerShard = 2;

@@ -154,22 +154,24 @@ TEST(Workspace, BatchByteIdenticalToSequentialAcrossThreads) {
       EXPECT_EQ(out[i].netlist ? canonicalText(*out[i].netlist) : "", refNl[i])
           << "threads=" << threads << " request " << i;
     }
-    // All five requests target one root: the decomposed batch acquires
-    // each unique root exactly once (the shared view stage), so a cold
-    // batch is one miss and zero per-request hits.
+    // All five requests target one root and the batch counts views per
+    // request, as sequential runs do: the first request builds the view
+    // and the other four hit it.
     const Workspace::CacheStats s = ws.cacheStats();
     EXPECT_EQ(s.viewMisses, 1u) << "threads=" << threads;
-    EXPECT_EQ(s.viewHits, 0u) << "threads=" << threads;
+    EXPECT_EQ(s.viewHits, reqs.size() - 1) << "threads=" << threads;
     EXPECT_EQ(s.cachedViews, 1u) << "threads=" << threads;
+    EXPECT_FALSE(out[0].viewCacheHit) << "threads=" << threads;
+    for (std::size_t i = 1; i < out.size(); ++i)
+      EXPECT_TRUE(out[i].viewCacheHit)
+          << "threads=" << threads << " request " << i;
   }
 }
 
 TEST(Workspace, BatchDedupsNetlistExtractionAcrossRequests) {
   // Three netlist-consuming requests on one (root, extract-options)
-  // pair: the batch's prefetch stage runs the extraction once, and every
-  // consumer reports a netlist cache hit on the same shared object —
-  // none of them serialized on the per-entry netlist mutex doing the
-  // work itself.
+  // pair: the first consumer extracts, and the other two report a
+  // netlist cache hit on the same shared object.
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {4});
 
@@ -179,21 +181,21 @@ TEST(Workspace, BatchDedupsNetlistExtractionAcrossRequests) {
   reqs.push_back(CheckRequest::netlistOnly(chip.top));
   const std::vector<CheckResult> out = ws.runBatch(reqs);
   ASSERT_EQ(out.size(), 3u);
-  for (const CheckResult& r : out) {
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const CheckResult& r = out[i];
     ASSERT_TRUE(r.ok()) << r.error;
-    EXPECT_TRUE(r.netlistCacheHit);  // extraction happened in the prefetch
+    EXPECT_EQ(r.netlistCacheHit, i > 0) << "request " << i;
     ASSERT_NE(r.netlist, nullptr);
     EXPECT_EQ(r.netlist.get(), out[0].netlist.get());  // shared, not rebuilt
   }
   const Workspace::CacheStats s = ws.cacheStats();
   EXPECT_EQ(s.viewMisses, 1u);
-  EXPECT_EQ(s.netlistHits, 3u);  // one per consumer; the prefetch built it
+  EXPECT_EQ(s.netlistHits, 2u);  // every consumer after the first
 }
 
 TEST(Workspace, FailedRequestDoesNotAbortBatch) {
-  // Failed-request isolation MID-GRAPH: the bad roots' shared view stages
-  // fail inside the decomposed batch graph and poison exactly their own
-  // requests' subgraphs (kIsolate). The healthy requests — declared
+  // Failed-request isolation: the requests on bad roots report their
+  // error and the batch continues. The healthy requests — declared
   // before, between, and after the failures — complete byte-identically
   // to sequential runs.
   const tech::Technology t = tech::nmos();
@@ -231,7 +233,7 @@ TEST(Workspace, FailedRequestDoesNotAbortBatch) {
   }
 }
 
-TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
+TEST(Workspace, BatchFillsPerRequestStageTelemetry) {
   workload::GeneratedChip chip = makeChip();
   Workspace ws(std::move(chip.lib), tech::nmos(), {2});
 
@@ -242,9 +244,8 @@ TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
   ASSERT_EQ(out.size(), 2u);
   ASSERT_TRUE(out[0].ok()) << out[0].error;
 
-  // The DRC request's five stages are sliced out of the batch graph under
-  // their canonical names, every one started, and the request's clock
-  // spans its own stages.
+  // The DRC request reports its five stages under their canonical names,
+  // every one started, and the request's own clock.
   ASSERT_EQ(out[0].stageResults.size(), 5u);
   const char* names[] = {"elements", "symbols", "connections", "netlist",
                          "interactions"};
@@ -254,16 +255,19 @@ TEST(Workspace, DecomposedBatchFillsPerRequestStageTelemetry) {
     EXPECT_GE(out[0].stageResults[s].start, 0.0) << names[s];
   }
   EXPECT_GT(out[0].seconds, 0.0);
-  EXPECT_GT(out[0].stageTimes.total(), 0.0);
+  double stageSeconds = 0;
+  for (const engine::StageResult& sr : out[0].stageResults)
+    stageSeconds += sr.seconds;
+  EXPECT_GT(stageSeconds, 0.0);
   EXPECT_GT(out[0].interactionStats.candidatePairs, 0u);
   // Non-DRC requests keep empty stage telemetry, as in sequential runs.
   EXPECT_TRUE(out[1].stageResults.empty());
 }
 
-TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
-  // The acceptance sweep: decomposed batches must reproduce sequential
-  // per-request bytes for Workspace pool sizes {1, 2, 8} and, through the
-  // serving tier's submitBatch, shard counts {1, 4}.
+TEST(Workspace, BatchByteIdenticalAcrossThreadAndShardSweep) {
+  // The acceptance sweep: batches must reproduce sequential per-request
+  // bytes for Workspace pool sizes {1, 2, 8} and, through the serving
+  // tier's submitBatch, shard counts {1, 4}.
   const tech::Technology t = tech::nmos();
   workload::GeneratedChip proto = makeChip();
   std::vector<CheckRequest> reqs;
@@ -271,7 +275,7 @@ TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
   reqs.push_back(CheckRequest::baseline(proto.top));
   reqs.push_back(CheckRequest::ercCheck(proto.top));
   reqs.push_back(CheckRequest::netlistOnly(proto.top));
-  reqs.push_back(CheckRequest::drc(proto.top));  // duplicate: shares stages
+  reqs.push_back(CheckRequest::drc(proto.top));  // duplicate: cache hits
 
   std::vector<std::string> refText;
   std::vector<std::string> refNl;
@@ -318,20 +322,6 @@ TEST(Workspace, DecomposedBatchByteIdenticalAcrossThreadAndShardSweep) {
                       " thr/sh=" + std::to_string(threadsPerShard));
     }
   }
-}
-
-TEST(Workspace, DedicatedPoolMatchesSharedPool) {
-  workload::GeneratedChip chip = makeChip();
-  Workspace ws(std::move(chip.lib), tech::nmos(), {/*threads=*/1});
-
-  const CheckResult shared = ws.run(CheckRequest::drc(chip.top));
-  CheckRequest dedicated = CheckRequest::drc(chip.top);
-  dedicated.threads = 4;  // per-request pool, same bytes out
-  const CheckResult pooled = ws.run(dedicated);
-  ASSERT_TRUE(shared.ok());
-  ASSERT_TRUE(pooled.ok());
-  EXPECT_EQ(shared.report.text(), pooled.report.text());
-  EXPECT_TRUE(pooled.viewCacheHit);  // cache is shared regardless of pool
 }
 
 TEST(Workspace, LruEvictionAfterEditRebuildsCleanly) {
