@@ -98,7 +98,9 @@ const std::vector<HierarchyView::Node>& HierarchyView::nodes() const {
 
 void HierarchyView::ensurePlacements() const {
   if (placementsReady_.load(std::memory_order_acquire)) return;
-  std::lock_guard<std::recursive_mutex> lock(mu_);
+  // Its own lock, not mu_: the per-cell stages need placements while the
+  // netlist stage holds mu_ across the flatten, and must not wait for it.
+  std::lock_guard<std::mutex> lock(placementsMu_);
   if (placementsReady_.load(std::memory_order_relaxed)) return;
   // One preorder walk numbers the nodes and counts flat slots exactly as
   // Library::flattenRec emits them: every element into flat(true), only
@@ -400,6 +402,8 @@ std::vector<std::size_t> HierarchyView::flatSlotsOf(bool includeDeviceGeometry,
 }
 
 bool HierarchyView::patchElement(layout::CellId cell, std::size_t index) {
+  // Lock order: mu_, then (inside placementsOf) placementsMu_; nothing
+  // takes them the other way round.
   std::lock_guard<std::recursive_mutex> lock(mu_);
   const layout::Cell& c = lib_.cell(cell);
   if (index >= c.elements.size()) return false;

@@ -233,8 +233,9 @@ class HierarchyView {
   };
 
   // Lazy caches follow double-checked locking: the atomic ready flag is
-  // set (release) only after the cache is fully built under mu_, so the
-  // hot path from parallel workers is a single acquire load.
+  // set (release) only after the cache is fully built under mu_ (the
+  // placement table: under placementsMu_), so the hot path from parallel
+  // workers is a single acquire load.
   const Flat& ensureFlat(bool includeDeviceGeometry) const;
   const LayerIndexes& ensureIndexes(bool includeDeviceGeometry) const;
   void ensurePlacements() const;
@@ -244,7 +245,12 @@ class HierarchyView {
   const layout::Library& lib_;
   layout::CellId root_;
 
+  /// Guards the flat views, their indexes and the port tables.
   mutable std::recursive_mutex mu_;
+  /// Once-lock of the placement table (cells_, placements_, nodes_,
+  /// subtreeSize_), separate from mu_ so placements build while another
+  /// thread flattens. Taken after mu_ (patchElement), never before it.
+  mutable std::mutex placementsMu_;
   mutable std::atomic<bool> placementsReady_{false};
   mutable std::vector<layout::CellId> cells_;
   mutable std::map<layout::CellId, std::vector<Placement>> placements_;

@@ -1,6 +1,7 @@
 #include <algorithm>
+#include <cstdint>
 #include <map>
-#include <tuple>
+#include <span>
 #include <utility>
 
 #include "engine/hierarchy_view.hpp"
@@ -11,8 +12,37 @@ namespace dic::netlist {
 
 namespace {
 
-/// True if the element's region (closed) touches the port rect.
+using Pair = std::pair<std::size_t, std::size_t>;
+
+/// True if the element's region (closed) touches the port rect, decided
+/// without building the region: a box covers itself when non-empty (as
+/// Region(Rect) keeps it); a wire covers its square-capped segment rects,
+/// empty ones skipped (as Region::fromRects drops them); a polygon builds
+/// its region. Closed touch of a union is touch of some member, so the
+/// answer equals the region test's.
 bool elementTouchesPort(const layout::Element& e, const geom::Rect& port) {
+  switch (e.kind) {
+    case layout::ElementKind::kBox:
+      return !e.box.empty() && geom::closedTouch(e.box, port);
+    case layout::ElementKind::kWire: {
+      // The caps of Element::region(): odd widths put the extra unit on
+      // the hi side.
+      const geom::Coord h = e.wireWidth / 2;
+      const geom::Coord h2 = e.wireWidth - h;
+      const auto touches = [&](geom::Point a, geom::Point b) {
+        const geom::Rect seg = geom::makeRect(a, b);
+        const geom::Rect r{{seg.lo.x - h, seg.lo.y - h},
+                           {seg.hi.x + h2, seg.hi.y + h2}};
+        return !r.empty() && geom::closedTouch(r, port);
+      };
+      if (e.path.size() == 1) return touches(e.path[0], e.path[0]);
+      for (std::size_t i = 0; i + 1 < e.path.size(); ++i)
+        if (touches(e.path[i], e.path[i + 1])) return true;
+      return false;
+    }
+    case layout::ElementKind::kPolygon:
+      break;
+  }
   if (!geom::closedTouch(e.bbox(), port)) return false;
   const geom::Region region = e.region();
   for (const geom::Rect& r : region.rects())
@@ -20,12 +50,107 @@ bool elementTouchesPort(const layout::Element& e, const geom::Rect& port) {
   return false;
 }
 
-/// One flat element or device port in the candidate sweep.
-struct SweepItem {
+/// One flat element or device port in the candidate search.
+struct SearchItem {
   geom::Rect box;
-  int layer{0};
   std::size_t node{0};
 };
+
+/// One layer's uniform grid, packed by a counting sort into one array of
+/// item indexes grouped by cell (cellItems) plus per-cell offsets
+/// (cellStart), and the items' extents. One candidatePairs() call reuses
+/// it for every layer.
+struct GridScratch {
+  std::vector<std::uint32_t> cellStart;
+  std::vector<std::uint32_t> cellItems;
+  std::vector<geom::Coord> extents;
+};
+
+/// Appends the closed-touching pairs among one layer's items. Each item
+/// is entered in every grid cell its closed box overlaps, and a pair is
+/// reported only from the cell holding (max lo.x, max lo.y): that point
+/// lies in both closed boxes, so exactly one cell that holds both items
+/// owns the pair.
+void layerPairs(std::span<const SearchItem> items, GridScratch& s,
+                std::vector<Pair>& out) {
+  const std::size_t n = items.size();
+  if (n < 2) return;
+  // Grid origin and span over every item, zero-area ones included
+  // (geom::bound skips empty rects and would undersize the grid).
+  geom::Coord x0 = items[0].box.lo.x, y0 = items[0].box.lo.y;
+  s.extents.clear();
+  for (const SearchItem& it : items) {
+    x0 = std::min(x0, it.box.lo.x);
+    y0 = std::min(y0, it.box.lo.y);
+    s.extents.push_back(std::max(it.box.width(), it.box.height()));
+  }
+  std::uint64_t spanX = 0, spanY = 0;
+  for (const SearchItem& it : items) {
+    spanX = std::max(spanX, static_cast<std::uint64_t>(it.box.hi.x) -
+                                static_cast<std::uint64_t>(x0));
+    spanY = std::max(spanY, static_cast<std::uint64_t>(it.box.hi.y) -
+                                static_cast<std::uint64_t>(y0));
+  }
+  // Square cells of a power-of-two side (cell lookups are shifts) at
+  // least the median item extent (rails do not inflate it), grown until
+  // the grid has at most ~2 cells per item.
+  std::nth_element(s.extents.begin(), s.extents.begin() + n / 2,
+                   s.extents.end());
+  int shift = 0;
+  while (shift < 63 && (geom::Coord{1} << shift) < s.extents[n / 2]) ++shift;
+  const double maxCells = 2.0 * static_cast<double>(n) + 64.0;
+  while (static_cast<double>((spanX >> shift) + 1) *
+             static_cast<double>((spanY >> shift) + 1) >
+         maxCells)
+    ++shift;
+  const std::uint64_t nx = (spanX >> shift) + 1;
+  const std::uint64_t ny = (spanY >> shift) + 1;
+  const auto cx = [&](geom::Coord x) {
+    return (static_cast<std::uint64_t>(x) - static_cast<std::uint64_t>(x0)) >>
+           shift;
+  };
+  const auto cy = [&](geom::Coord y) {
+    return (static_cast<std::uint64_t>(y) - static_cast<std::uint64_t>(y0)) >>
+           shift;
+  };
+
+  // Count each cell's entries into cellStart[c + 1], prefix-sum them into
+  // start offsets, then fill, advancing each cell's offset as it goes.
+  s.cellStart.assign(nx * ny + 1, 0);
+  for (const SearchItem& it : items)
+    for (std::uint64_t y = cy(it.box.lo.y); y <= cy(it.box.hi.y); ++y)
+      for (std::uint64_t x = cx(it.box.lo.x); x <= cx(it.box.hi.x); ++x)
+        ++s.cellStart[y * nx + x + 1];
+  for (std::size_t c = 1; c < s.cellStart.size(); ++c)
+    s.cellStart[c] += s.cellStart[c - 1];
+  s.cellItems.resize(s.cellStart.back());
+  for (std::size_t i = 0; i < n; ++i) {
+    const geom::Rect& b = items[i].box;
+    for (std::uint64_t y = cy(b.lo.y); y <= cy(b.hi.y); ++y)
+      for (std::uint64_t x = cx(b.lo.x); x <= cx(b.hi.x); ++x)
+        s.cellItems[s.cellStart[y * nx + x]++] = static_cast<std::uint32_t>(i);
+  }
+  // The fill advanced each offset to its cell's end, so cell c now spans
+  // [cellStart[c - 1], cellStart[c]), starting at 0 for c = 0.
+  const std::uint32_t* cellItems = s.cellItems.data();
+  for (std::uint64_t y = 0; y < ny; ++y)
+    for (std::uint64_t x = 0; x < nx; ++x) {
+      const std::size_t c = y * nx + x;
+      const std::uint32_t* b = cellItems + (c ? s.cellStart[c - 1] : 0);
+      const std::uint32_t* e = cellItems + s.cellStart[c];
+      for (const std::uint32_t* p = b; p < e; ++p) {
+        const SearchItem& a = items[*p];
+        for (const std::uint32_t* q = p + 1; q < e; ++q) {
+          const SearchItem& o = items[*q];
+          if (!geom::closedTouch(a.box, o.box) ||
+              cx(std::max(a.box.lo.x, o.box.lo.x)) != x ||
+              cy(std::max(a.box.lo.y, o.box.lo.y)) != y)
+            continue;
+          out.emplace_back(std::min(a.node, o.node), std::max(a.node, o.node));
+        }
+      }
+    }
+}
 
 }  // namespace
 
@@ -34,35 +159,46 @@ std::vector<std::pair<std::size_t, std::size_t>> candidatePairs(
   const engine::HierarchyView::Flat& flat = view.flat(false);
   const std::vector<engine::HierarchyView::PortRef>& portNodes = view.ports();
   const std::size_t ne = flat.elements.size();
-  std::vector<SweepItem> items;
-  items.reserve(ne + portNodes.size());
-  for (std::size_t i = 0; i < ne; ++i)
-    items.push_back({flat.bboxes[i], flat.elements[i].element.layer, i});
-  for (std::size_t pn = 0; pn < portNodes.size(); ++pn) {
-    const layout::Port& port =
-        flat.devices[portNodes[pn].device].ports[portNodes[pn].port];
-    items.push_back({port.at, port.layer, ne + pn});
+  const std::size_t total = ne + portNodes.size();
+  const auto layerOf = [&](std::size_t node) {
+    if (node < ne) return flat.elements[node].element.layer;
+    const engine::HierarchyView::PortRef& pr = portNodes[node - ne];
+    return flat.devices[pr.device].ports[pr.port].layer;
+  };
+  const auto boxOf = [&](std::size_t node) -> const geom::Rect& {
+    if (node < ne) return flat.bboxes[node];
+    const engine::HierarchyView::PortRef& pr = portNodes[node - ne];
+    return flat.devices[pr.device].ports[pr.port].at;
+  };
+  // Bucket the closedValid items by layer with a counting sort (stable,
+  // so each bucket stays in node order); layers are any ints, so they are
+  // first ranked among the few distinct ones present.
+  std::vector<int> layers;
+  for (std::size_t k = 0; k < total; ++k) {
+    const int l = layerOf(k);
+    const auto at = std::lower_bound(layers.begin(), layers.end(), l);
+    if (at == layers.end() || *at != l) layers.insert(at, l);
   }
-  std::erase_if(items,
-                [](const SweepItem& it) { return !it.box.closedValid(); });
-  std::sort(items.begin(), items.end(),
-            [](const SweepItem& a, const SweepItem& b) {
-              return std::tie(a.layer, a.box.lo.x, a.node) <
-                     std::tie(b.layer, b.box.lo.x, b.node);
-            });
-  // Sorted by lo.x within a layer, so every later item whose lo.x is
-  // within this item's hi.x overlaps it in x; only y remains to test.
-  std::vector<std::pair<std::size_t, std::size_t>> pairs;
-  for (std::size_t i = 0; i < items.size(); ++i) {
-    const SweepItem& a = items[i];
-    for (std::size_t j = i + 1; j < items.size() &&
-                                items[j].layer == a.layer &&
-                                items[j].box.lo.x <= a.box.hi.x;
-         ++j)
-      if (geom::closedTouch(a.box, items[j].box))
-        pairs.emplace_back(std::min(a.node, items[j].node),
-                           std::max(a.node, items[j].node));
+  std::vector<std::size_t> start(layers.size() + 1, 0);
+  std::vector<std::uint32_t> rank(total);
+  for (std::size_t k = 0; k < total; ++k) {
+    rank[k] = static_cast<std::uint32_t>(
+        std::lower_bound(layers.begin(), layers.end(), layerOf(k)) -
+        layers.begin());
+    if (boxOf(k).closedValid()) ++start[rank[k] + 1];
   }
+  for (std::size_t l = 1; l < start.size(); ++l) start[l] += start[l - 1];
+  std::vector<SearchItem> items(start.back());
+  std::vector<std::size_t> fill(start.begin(), start.end() - 1);
+  for (std::size_t k = 0; k < total; ++k)
+    if (boxOf(k).closedValid()) items[fill[rank[k]]++] = {boxOf(k), k};
+
+  std::vector<Pair> pairs;
+  GridScratch scratch;
+  for (std::size_t l = 0; l < layers.size(); ++l)
+    layerPairs(std::span<const SearchItem>(items).subspan(
+                   start[l], start[l + 1] - start[l]),
+               scratch, pairs);
   return pairs;
 }
 
@@ -98,9 +234,9 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   }
   UnionFind uf(ne + np + labelNode.size());
 
-  // Exact tests on the swept candidates only. Net numbering depends only
-  // on the final partition (ids are assigned in first-encounter node
-  // order when nets are built), not on the order of the unions.
+  // Exact tests on the candidates only. Net numbering depends only on the
+  // final partition (ids are assigned in first-encounter node order when
+  // nets are built), not on the order of the unions.
   std::vector<geom::Skeleton> skels(ne);
   for (std::size_t i = 0; i < ne; ++i) {
     const layout::Element& e = elements[i].element;
@@ -133,16 +269,13 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
   }
 
   // Build nets.
-  std::map<std::size_t, int> rootToNet;
+  std::vector<int> rootToNet(uf.size(), -1);
   auto netOf = [&](std::size_t node) {
-    const std::size_t r = uf.find(node);
-    auto it = rootToNet.find(r);
-    if (it != rootToNet.end()) return it->second;
-    const int id = static_cast<int>(out.nets.size());
-    Net n;
-    n.id = id;
-    out.nets.push_back(std::move(n));
-    rootToNet.emplace(r, id);
+    int& id = rootToNet[uf.find(node)];
+    if (id < 0) {
+      id = static_cast<int>(out.nets.size());
+      out.nets.emplace_back().id = id;
+    }
     return id;
   };
 

@@ -109,8 +109,8 @@ struct ExtractOptions {
 ///    no geometric connection; layers compare by value, negative ids
 ///    included.
 ///
-/// Only the pairs candidatePairs() finds reach the exact tests; no spatial
-/// grid is built. Runs on the calling thread.
+/// Only the pairs candidatePairs() finds reach the exact tests. Runs on
+/// the calling thread.
 Netlist extract(const layout::Library& lib, layout::CellId root,
                 const tech::Technology& tech, const ExtractOptions& opts = {});
 
@@ -124,9 +124,11 @@ Netlist extract(engine::HierarchyView& view, const tech::Technology& tech,
 /// The candidate pairs extract() tests exactly: every pair of flat(false)
 /// elements and device ports on one layer whose bboxes are closedValid()
 /// and touch (closed), as (lower node, higher node) in extraction
-/// numbering (see probeElementEdges). Found by one sort of all items by
-/// (layer, lo.x, node) and a forward scan from each item while lo.x stays
-/// within its hi.x; listed in scan order.
+/// numbering (see probeElementEdges). Found per layer on a uniform grid
+/// filled by a counting sort (no comparison sort): each item enters every
+/// cell its closed box overlaps, and a pair is reported once, from the
+/// cell holding (max lo.x, max lo.y). Listed layer by layer in grid-cell
+/// order; only the set is specified, not the order.
 std::vector<std::pair<std::size_t, std::size_t>> candidatePairs(
     engine::HierarchyView& view);
 
@@ -135,10 +137,10 @@ std::vector<std::pair<std::size_t, std::size_t>> candidatePairs(
 /// ne + portIndex (ne = view.flat(false).elements.size()). Sorted,
 /// deduplicated. Applies exactly the predicates extract() uses (same
 /// layer + closed bbox touch + skeleton connectivity for elements; same
-/// layer + region-touches-port for ports), but queries the view's lazily
-/// built flat(false) layer grids and port grid instead of sweeping the
-/// whole chip. Two probes of the same
-/// element before and after a geometry edit compare equal iff the edit
+/// layer + element region touches the port rect, closed, for ports), but
+/// queries the view's lazily built flat(false) layer grids and port grid
+/// instead of searching the whole chip. Two probes of the same element
+/// before and after a geometry edit compare equal iff the edit
 /// left every connection of that element intact. This is the incremental
 /// check path's "netlist unchanged" test: if every edited element's edge
 /// set (and net label) is unchanged, the extraction's union-find

@@ -507,15 +507,175 @@ TEST_F(ExtractTest, AbuttingPortsOfOneDeviceShort) {
   expectMatchesReference(lib, root, t, "one-device abut");
 }
 
+TEST_F(ExtractTest, CandidateSearchEdgeCasesMatchAllPairs) {
+  // Each case is its own chip, so a case's layers hold only its items;
+  // expectMatchesReference checks candidatePairs() against all pairs.
+  {
+    // Zero-area but closedValid items: a degenerate box, a zero-width
+    // wire and width-0 points, spread far apart so the median extent is 0
+    // and the grid has to coarsen; one point sits on the wire's end.
+    layout::Library lib;
+    layout::Cell top;
+    top.name = "top";
+    top.elements.push_back(makeBox(nm, makeRect(0, 0, 0, 5 * L)));
+    top.elements.push_back(makeWire(nm, {{0, 2 * L}, {9 * L, 2 * L}}, 0));
+    for (int k = 0; k < 40; ++k)
+      top.elements.push_back(
+          makeWire(nm, {{k * 1000 * L, k * 37 * L}, {k * 1000 * L, k * 37 * L}},
+                   0));
+    top.elements.push_back(makeWire(nm, {{9 * L, 2 * L}}, 0));
+    const auto root = lib.addCell(std::move(top));
+    expectMatchesReference(lib, root, t, "zero-area items");
+  }
+  {
+    // Negative coordinates, one rail spanning the layer, stacked
+    // identical boxes, and a single-item poly layer.
+    layout::Library lib;
+    layout::Cell top;
+    top.name = "top";
+    top.elements.push_back(
+        makeWire(nm, {{-500 * L, -40 * L}, {500 * L, -40 * L}}, 4 * L, "VDD"));
+    for (int k = -20; k < 20; ++k)
+      top.elements.push_back(makeBox(
+          nm, makeRect(k * 25 * L, -50 * L, k * 25 * L + 3 * L, -38 * L)));
+    for (int k = 0; k < 3; ++k)
+      top.elements.push_back(
+          makeBox(nm, makeRect(-300 * L, -90 * L, -290 * L, -80 * L)));
+    top.elements.push_back(
+        makeBox(np, makeRect(-7 * L, -7 * L, -5 * L, -5 * L)));
+    const auto root = lib.addCell(std::move(top));
+    expectMatchesReference(lib, root, t, "rail, stacks, negative coords");
+  }
+  {
+    // Negative layer ids (ports need no technology layer), coordinates
+    // near 2^40 on both sides, abutting and stacked ports, and a
+    // single-item layer.
+    const geom::Coord far = geom::Coord{1} << 40;
+    layout::Library lib;
+    const auto a = addTerminalCell(
+        lib, "a", {{"P", -3, makeRect(0, 0, 2 * L, 2 * L), -1}});
+    const auto b = addTerminalCell(
+        lib, "b", {{"P", -1, makeRect(0, 0, 0, 2 * L), -1}});
+    const auto c = addTerminalCell(
+        lib, "c", {{"P", -7, makeRect(0, 0, L, L), -1}});
+    layout::Cell top;
+    top.name = "top";
+    top.instances.push_back({a, {geom::Orient::kR0, {-far, -far}}, "a1"});
+    top.instances.push_back({a, {geom::Orient::kR0, {-far + 2 * L, -far}}, "a2"});
+    top.instances.push_back({a, {geom::Orient::kR0, {far, far}}, "a3"});
+    top.instances.push_back({a, {geom::Orient::kR0, {far, far}}, "a4"});
+    top.instances.push_back({b, {geom::Orient::kR0, {-far, 0}}, "b1"});
+    top.instances.push_back({b, {geom::Orient::kR0, {-far, 2 * L}}, "b2"});
+    top.instances.push_back({c, {geom::Orient::kR0, {5 * L, 5 * L}}, "c1"});
+    const auto root = lib.addCell(std::move(top));
+    expectMatchesReference(lib, root, t, "negative layers, far coords");
+  }
+}
+
+/// The element-port predicate as it stood before extraction stopped
+/// building regions for it: the element's region (closed) touches the
+/// port rect.
+bool regionTouchesPort(const layout::Element& e, const geom::Rect& port) {
+  if (!geom::closedTouch(e.bbox(), port)) return false;
+  const geom::Region region = e.region();
+  return std::any_of(region.rects().begin(), region.rects().end(),
+                     [&](const geom::Rect& r) {
+                       return geom::closedTouch(r, port);
+                     });
+}
+
+/// For every (flat element, port) pair below `root`: the port is among
+/// the element's probeElementEdges() -- decided by the predicate extract()
+/// also uses -- iff it is on the element's layer and regionTouchesPort()
+/// holds. Returns the number of touching pairs.
+std::size_t expectPortEdgesMatchRegion(const layout::Library& lib,
+                                       layout::CellId root,
+                                       const tech::Technology& t,
+                                       const std::string& label) {
+  engine::HierarchyView view(lib, root);
+  const engine::HierarchyView::Flat& flat = view.flat(false);
+  const std::vector<engine::HierarchyView::PortRef>& ports = view.ports();
+  const std::size_t ne = flat.elements.size();
+  std::size_t touching = 0;
+  for (std::size_t k = 0; k < ne; ++k) {
+    const layout::Element& e = flat.elements[k].element;
+    std::vector<std::size_t> want;
+    for (std::size_t pn = 0; pn < ports.size(); ++pn) {
+      const layout::Port& p =
+          flat.devices[ports[pn].device].ports[ports[pn].port];
+      if (p.layer == e.layer && regionTouchesPort(e, p.at))
+        want.push_back(ne + pn);
+    }
+    touching += want.size();
+    std::vector<std::size_t> got = probeElementEdges(view, t, k);
+    std::erase_if(got, [&](std::size_t node) { return node < ne; });
+    EXPECT_EQ(want, got) << label << " element " << k;
+  }
+  return touching;
+}
+
+TEST_F(ExtractTest, PortPredicateMatchesRegionOnEdgeCases) {
+  // One metal port per probe spot; each element below is aimed at some
+  // of them. Odd widths in database units put the extra unit of a wire's
+  // caps on the hi side.
+  layout::Library lib;
+  std::vector<geom::Rect> spots = {
+      makeRect(2, 0, 4, 1),             // on the point wire's hi cap edge
+      makeRect(-3, 0, -2, 1),           // 1 short of its lo cap
+      makeRect(-2, -2, -1, -1),         // its lo corner, corner only
+      makeRect(12 * L, -L, 13 * L, L),  // crossed by the zero-width wire
+      makeRect(21 * L, 0, 22 * L, L),   // crossed by the zero-area box
+      makeRect(32 * L, 2 * L, 34 * L, 4 * L),  // box corner, corner only
+      makeRect(51 * L, L, 52 * L, 2 * L),      // wire cap corner only
+      makeRect(60 * L, 7 * L, 62 * L, 9 * L),  // L-wire bbox, off segments
+      makeRect(70 * L, 6 * L, 72 * L, 8 * L),  // polygon notch, bbox only
+      makeRect(70 * L, 0, 72 * L, L),          // polygon bottom edge
+      makeRect(76 * L, 5 * L, 78 * L, 6 * L),  // polygon's upper arm
+      makeRect(400, 0, 401, 3),                // odd-width dup-point wire
+  };
+  layout::Cell top;
+  top.name = "top";
+  top.elements.push_back(makeWire(nm, {{0, 0}}, 3));             // point
+  top.elements.push_back(makeWire(nm, {{10 * L, 0}, {15 * L, 0}}, 0));
+  top.elements.push_back(makeBox(nm, makeRect(21 * L, -L, 21 * L, 2 * L)));
+  top.elements.push_back(makeBox(nm, makeRect(30 * L, 0, 32 * L, 2 * L)));
+  top.elements.push_back(makeWire(nm, {{40 * L, 0}, {50 * L, 0}}, 2 * L));
+  top.elements.push_back(
+      makeWire(nm, {{55 * L, 0}, {65 * L, 0}, {65 * L, 10 * L}}, 2 * L));
+  top.elements.push_back(layout::makePolygon(
+      nm, {{70 * L, 0},
+           {80 * L, 0},
+           {80 * L, 10 * L},
+           {76 * L, 10 * L},
+           {76 * L, 5 * L},
+           {70 * L, 5 * L}}));
+  top.elements.push_back(makeWire(nm, {{398, 0}, {398, 0}}, 5));
+  top.elements.push_back(makeWire(np, {{0, 0}, {100 * L, 0}}, 2 * L));
+  for (std::size_t k = 0; k < spots.size(); ++k) {
+    const auto dev = addTerminalCell(lib, "term" + std::to_string(k),
+                                     {{"P", nm, spots[k], -1}});
+    top.instances.push_back(
+        {dev, geom::identityTransform(), "p" + std::to_string(k)});
+  }
+  const auto root = lib.addCell(std::move(top));
+  // Touching: the point wire's hi cap edge and lo corner, the box and
+  // wire-cap corners, the polygon's bottom edge and upper arm, the
+  // dup-point wire; the poly wire crosses every spot on the wrong layer.
+  EXPECT_EQ(7u, expectPortEdgesMatchRegion(lib, root, t, "edge cases"));
+  expectMatchesReference(lib, root, t, "port predicate edge cases");
+}
+
+/// The generated chips the reference tests run on, up to 256 inverters.
+constexpr workload::ChipParams kReferenceChips[] = {
+    {1, 1, 2, 2, true}, {1, 2, 2, 3, true}, {2, 2, 2, 4, true},
+    {2, 4, 4, 8, true}};
+
 TEST(ExtractReference, ChipsMatchAllPairsExtraction) {
   // Generated chips up to 256 inverters, each plain and with injected
   // defects, then again after seeded element nudges (expectMatchesReference
   // lists what must agree).
   const tech::Technology t = tech::nmos();
-  const workload::ChipParams sizes[] = {
-      {1, 1, 2, 2, true}, {1, 2, 2, 3, true}, {2, 2, 2, 4, true},
-      {2, 4, 4, 8, true}};
-  for (const workload::ChipParams& size : sizes)
+  for (const workload::ChipParams& size : kReferenceChips)
     for (const unsigned seed : {0u, 7u, 42u}) {
       workload::GeneratedChip chip = workload::generateChip(t, size);
       if (seed) workload::inject(chip, t, workload::InjectionPlan{}, seed);
@@ -530,6 +690,28 @@ TEST(ExtractReference, ChipsMatchAllPairsExtraction) {
           chip.lib.setElement(op.cell, op.index, op.element);
       }
       expectMatchesReference(chip.lib, chip.top, t, label + ", nudged");
+    }
+}
+
+TEST(PortPredicate, MatchesRegionOnReferenceChips) {
+  // Every (element, port) pair of the reference chips, plain, with
+  // injected defects, and after seeded nudges.
+  const tech::Technology t = tech::nmos();
+  for (const workload::ChipParams& size : kReferenceChips)
+    for (const unsigned seed : {0u, 7u, 42u}) {
+      workload::GeneratedChip chip = workload::generateChip(t, size);
+      if (seed) workload::inject(chip, t, workload::InjectionPlan{}, seed);
+      const std::string label = std::to_string(chip.inverterCount()) +
+                                " inverters, inject seed " +
+                                std::to_string(seed);
+      EXPECT_GT(expectPortEdgesMatchRegion(chip.lib, chip.top, t, label), 0u);
+      for (std::uint64_t e = 0; e < 8; ++e) {
+        const EditOp op = workload::makeEditOp(seed * 16 + e, chip.lib,
+                                               chip.top);
+        if (op.kind == EditOp::Kind::kSetElement)
+          chip.lib.setElement(op.cell, op.index, op.element);
+      }
+      expectPortEdgesMatchRegion(chip.lib, chip.top, t, label + ", nudged");
     }
 }
 
